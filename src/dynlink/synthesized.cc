@@ -1,6 +1,6 @@
 #include "dynlink/synthesized.h"
 
-#include <sstream>
+#include <string>
 
 namespace ode::dynlink {
 
@@ -13,28 +13,35 @@ bool IsScalar(const odb::TypeRef& type) {
 }
 
 /// One line (or indented block) for an attribute value.
-void AppendAttribute(std::ostringstream& out, const std::string& name,
+void AppendAttribute(std::string* out, const std::string& name,
                      const odb::Value& value) {
   using odb::ValueKind;
+  out->append(name);
   switch (value.kind()) {
     case ValueKind::kStruct:
     case ValueKind::kSet:
     case ValueKind::kArray:
-      out << name << ":\n" << value.ToIndentedString(1);
-      break;
+      out->append(":\n");
+      out->append(value.ToIndentedString(1));
+      return;
     case ValueKind::kRef:
       if (value.AsRef().IsNull()) {
-        out << name << ": <no " << value.RefClass() << ">\n";
+        out->append(": <no ");
+        out->append(value.RefClass());
+        out->append(">\n");
       } else {
-        out << name << ": -> " << value.RefClass() << " "
-            << value.AsRef().ToString() << "\n";
+        out->append(": -> ");
+        out->append(value.RefClass());
+        out->push_back(' ');
+        out->append(value.AsRef().ToString());
+        out->push_back('\n');
       }
-      break;
-    case ValueKind::kBlob:
-      out << name << ": <blob " << value.AsString().size() << "B>\n";
-      break;
+      return;
     default:
-      out << name << ": " << value.ToString() << "\n";
+      // Blobs print as "<blob NB>", like every other scalar's text form.
+      out->append(": ");
+      out->append(value.ToString());
+      out->push_back('\n');
   }
 }
 
@@ -47,17 +54,20 @@ Result<std::string> FormatObjectText(const odb::Schema& schema,
                                      bool privileged) {
   ODE_ASSIGN_OR_RETURN(std::vector<odb::MemberDef> members,
                        schema.AllMembers(object.class_name));
-  std::ostringstream out;
-  out << object.class_name << " " << object.oid.ToString() << " (v"
-      << object.version << ")\n";
+  std::string out = object.class_name;
+  out.push_back(' ');
+  out.append(object.oid.ToString());
+  out.append(" (v");
+  out.append(std::to_string(object.version));
+  out.append(")\n");
   for (const odb::MemberDef& member : members) {
     if (!privileged && member.access != odb::Access::kPublic) continue;
     if (!AttributeSelected(attrs, mask, member.name)) continue;
     const odb::Value* value = object.value.FindField(member.name);
     if (value == nullptr) continue;
-    AppendAttribute(out, member.name, *value);
+    AppendAttribute(&out, member.name, *value);
   }
-  return out.str();
+  return out;
 }
 
 DisplayFunction SynthesizeDisplayFunction(const odb::Schema& schema,

@@ -1,7 +1,7 @@
 #include "odb/value.h"
 
 #include <cassert>
-#include <sstream>
+#include <charconv>
 
 #include "common/strings.h"
 
@@ -17,13 +17,40 @@ const std::vector<Value>& EmptyElements() {
   return *empty;
 }
 
-void AppendQuoted(std::ostringstream& out, const std::string& s) {
-  out << '"';
+void AppendQuoted(std::string* out, const std::string& s) {
+  out->push_back('"');
   for (char c : s) {
-    if (c == '"' || c == '\\') out << '\\';
-    out << c;
+    if (c == '"' || c == '\\') out->push_back('\\');
+    out->push_back(c);
   }
-  out << '"';
+  out->push_back('"');
+}
+
+template <typename Int>
+void AppendInteger(std::string* out, Int value) {
+  char buf[24];  // INT64_MIN takes 20
+  char* end = std::to_chars(buf, buf + sizeof(buf), value).ptr;
+  out->append(buf, end);
+}
+
+/// `%g` at precision 6, as `std::ostream` prints a double by default.
+void AppendReal(std::string* out, double value) {
+  char buf[32];  // "-1.23457e+308" takes 13
+  char* end = std::to_chars(buf, buf + sizeof(buf), value,
+                            std::chars_format::general, 6)
+                  .ptr;
+  out->append(buf, end);
+}
+
+void AppendOid(std::string* out, const Oid& oid) {
+  if (oid.IsNull()) {
+    out->append("null");
+    return;
+  }
+  out->push_back('c');
+  AppendInteger(out, oid.cluster);
+  out->append(":o");
+  AppendInteger(out, oid.local);
 }
 }  // namespace
 
@@ -255,97 +282,118 @@ bool operator==(const Value& a, const Value& b) {
 }
 
 std::string Value::ToString() const {
-  std::ostringstream out;
+  std::string out;
+  AppendTo(&out);
+  return out;
+}
+
+std::string Value::ToIndentedString(int indent) const {
+  std::string out;
+  AppendIndentedTo(&out, indent);
+  return out;
+}
+
+void Value::AppendTo(std::string* out) const {
   switch (kind_) {
     case ValueKind::kNull:
-      out << "null";
+      out->append("null");
       break;
     case ValueKind::kBool:
-      out << (bool_ ? "true" : "false");
+      out->append(bool_ ? "true" : "false");
       break;
     case ValueKind::kInt:
-      out << int_;
+      AppendInteger(out, int_);
       break;
     case ValueKind::kReal:
-      out << real_;
+      AppendReal(out, real_);
       break;
     case ValueKind::kString:
       AppendQuoted(out, str_);
       break;
     case ValueKind::kBlob:
-      out << "<blob " << str_.size() << "B>";
+      out->append("<blob ");
+      AppendInteger(out, str_.size());
+      out->append("B>");
       break;
     case ValueKind::kRef:
-      out << "@" << str_ << "(" << ref_.ToString() << ")";
+      out->push_back('@');
+      out->append(str_);
+      out->push_back('(');
+      AppendOid(out, ref_);
+      out->push_back(')');
       break;
     case ValueKind::kStruct: {
-      out << "{";
+      out->push_back('{');
       bool first = true;
       for (const Field& f : fields_) {
-        if (!first) out << ", ";
+        if (!first) out->append(", ");
         first = false;
-        out << f.name << ": " << f.value.ToString();
+        out->append(f.name);
+        out->append(": ");
+        f.value.AppendTo(out);
       }
-      out << "}";
+      out->push_back('}');
       break;
     }
     case ValueKind::kArray:
     case ValueKind::kSet: {
-      out << (kind_ == ValueKind::kArray ? "[" : "(");
+      out->push_back(kind_ == ValueKind::kArray ? '[' : '(');
       bool first = true;
       for (const Value& e : elements_) {
-        if (!first) out << ", ";
+        if (!first) out->append(", ");
         first = false;
-        out << e.ToString();
+        e.AppendTo(out);
       }
-      out << (kind_ == ValueKind::kArray ? "]" : ")");
+      out->push_back(kind_ == ValueKind::kArray ? ']' : ')');
       break;
     }
   }
-  return out.str();
 }
 
-std::string Value::ToIndentedString(int indent) const {
-  const std::string pad(static_cast<size_t>(indent) * 2, ' ');
-  std::ostringstream out;
+void Value::AppendIndentedTo(std::string* out, int indent) const {
+  const size_t pad = static_cast<size_t>(indent) * 2;
   switch (kind_) {
-    case ValueKind::kStruct: {
+    case ValueKind::kStruct:
       for (const Field& f : fields_) {
-        out << pad << f.name << ":";
+        out->append(pad, ' ');
+        out->append(f.name);
         if (f.value.kind() == ValueKind::kStruct ||
             f.value.kind() == ValueKind::kSet ||
             f.value.kind() == ValueKind::kArray) {
-          out << "\n" << f.value.ToIndentedString(indent + 1);
+          out->append(":\n");
+          f.value.AppendIndentedTo(out, indent + 1);
         } else {
-          out << " " << f.value.ToString() << "\n";
+          out->append(": ");
+          f.value.AppendTo(out);
+          out->push_back('\n');
         }
       }
       break;
-    }
     case ValueKind::kArray:
-    case ValueKind::kSet: {
+    case ValueKind::kSet:
       for (const Value& e : elements_) {
+        out->append(pad, ' ');
         if (e.kind() == ValueKind::kStruct) {
-          out << pad << "-\n" << e.ToIndentedString(indent + 1);
+          out->append("-\n");
+          e.AppendIndentedTo(out, indent + 1);
         } else {
-          out << pad << "- " << e.ToString() << "\n";
+          out->append("- ");
+          e.AppendTo(out);
+          out->push_back('\n');
         }
       }
       break;
-    }
     default:
-      out << pad << ToString() << "\n";
+      out->append(pad, ' ');
+      AppendTo(out);
+      out->push_back('\n');
   }
-  return out.str();
 }
 
-}  // namespace ode::odb
-
-namespace ode::odb {
-
 std::string Oid::ToString() const {
-  if (IsNull()) return "null";
-  return "c" + std::to_string(cluster) + ":o" + std::to_string(local);
+  std::string out;
+  AppendOid(&out, *this);
+  return out;
 }
 
 }  // namespace ode::odb

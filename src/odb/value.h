@@ -108,6 +108,11 @@ class Value {
   std::string ToIndentedString(int indent = 0) const;
 
  private:
+  /// Append `ToString()` / `ToIndentedString(indent)` to `*out`, so a
+  /// nested value is written into its parent's buffer.
+  void AppendTo(std::string* out) const;
+  void AppendIndentedTo(std::string* out, int indent) const;
+
   ValueKind kind_;
   bool bool_ = false;
   int64_t int_ = 0;

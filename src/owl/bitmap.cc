@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <sstream>
+#include <utility>
 
 namespace ode::owl {
 
@@ -11,51 +13,86 @@ Bitmap::Bitmap(int width, int height)
       height_(std::max(0, height)),
       bits_(static_cast<size_t>(width_) * static_cast<size_t>(height_), 0) {}
 
-Result<Bitmap> Bitmap::FromPbm(std::string_view text) {
-  // Tokenize, skipping '#' comments.
-  std::vector<std::string> tokens;
-  size_t i = 0;
-  while (i < text.size()) {
-    char c = text[i];
-    if (c == '#') {
-      while (i < text.size() && text[i] != '\n') ++i;
-      continue;
+namespace {
+
+bool IsPbmSpace(char c) {
+  return std::isspace(static_cast<unsigned char>(c)) != 0;
+}
+
+/// Skips whitespace and '#' comments from `*pos`.
+void SkipPbmSpace(std::string_view text, size_t* pos) {
+  while (*pos < text.size()) {
+    if (text[*pos] == '#') {
+      while (*pos < text.size() && text[*pos] != '\n') ++*pos;
+    } else if (IsPbmSpace(text[*pos])) {
+      ++*pos;
+    } else {
+      return;
     }
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      ++i;
-      continue;
-    }
-    size_t start = i;
-    while (i < text.size() &&
-           !std::isspace(static_cast<unsigned char>(text[i])) &&
-           text[i] != '#') {
-      ++i;
-    }
-    tokens.emplace_back(text.substr(start, i - start));
   }
-  if (tokens.size() < 3 || tokens[0] != "P1") {
-    return Status::InvalidArgument("not an ASCII PBM (missing P1 header)");
+}
+
+/// The header token at `*pos` (up to whitespace or a comment).
+std::string_view NextPbmToken(std::string_view text, size_t* pos) {
+  SkipPbmSpace(text, pos);
+  size_t start = *pos;
+  while (*pos < text.size() && !IsPbmSpace(text[*pos]) &&
+         text[*pos] != '#') {
+    ++*pos;
   }
-  int width = std::atoi(tokens[1].c_str());
-  int height = std::atoi(tokens[2].c_str());
-  if (width <= 0 || height <= 0 || width > 1 << 16 || height > 1 << 16) {
+  return text.substr(start, *pos - start);
+}
+
+/// A dimension token: digits only, 1..65536.
+Result<int> ParsePbmDimension(std::string_view token) {
+  uint32_t value = 0;
+  auto [end, ec] =
+      std::from_chars(token.data(), token.data() + token.size(), value);
+  if (ec == std::errc::invalid_argument ||
+      end != token.data() + token.size()) {
+    return Status::InvalidArgument("PBM dimension is not a number");
+  }
+  if (ec != std::errc() || value == 0 || value > (1u << 16)) {
     return Status::InvalidArgument("PBM dimensions out of range");
   }
-  Bitmap bitmap(width, height);
-  size_t needed = static_cast<size_t>(width) * static_cast<size_t>(height);
-  // Cells may be packed ("0101") or separated ("0 1 0 1").
-  size_t filled = 0;
-  for (size_t t = 3; t < tokens.size() && filled < needed; ++t) {
-    for (char c : tokens[t]) {
-      if (c != '0' && c != '1') {
-        return Status::InvalidArgument("PBM pixel must be 0 or 1");
-      }
-      if (filled >= needed) break;
-      bitmap.bits_[filled++] = c == '1' ? 1 : 0;
-    }
+  return static_cast<int>(value);
+}
+
+}  // namespace
+
+Result<Bitmap> Bitmap::FromPbm(std::string_view text) {
+  size_t pos = 0;
+  if (NextPbmToken(text, &pos) != "P1") {
+    return Status::InvalidArgument("not an ASCII PBM (missing P1 header)");
   }
-  if (filled != needed) {
+  std::string_view width_token = NextPbmToken(text, &pos);
+  std::string_view height_token = NextPbmToken(text, &pos);
+  if (height_token.empty()) {
+    return Status::InvalidArgument("not an ASCII PBM (missing dimensions)");
+  }
+  ODE_ASSIGN_OR_RETURN(int width, ParsePbmDimension(width_token));
+  ODE_ASSIGN_OR_RETURN(int height, ParsePbmDimension(height_token));
+  // Every pixel takes at least one byte, so a header claiming more
+  // pixels than bytes remain is refused before the buffer is allocated.
+  const size_t needed =
+      static_cast<size_t>(width) * static_cast<size_t>(height);
+  if (needed > text.size() - pos) {
     return Status::InvalidArgument("PBM has too few pixels");
+  }
+  Bitmap bitmap(width, height);
+  // Cells may be packed ("0101") or separated ("0 1 0 1"); reading stops
+  // once the image is full.
+  size_t filled = 0;
+  while (filled < needed) {
+    SkipPbmSpace(text, &pos);
+    if (pos == text.size()) {
+      return Status::InvalidArgument("PBM has too few pixels");
+    }
+    const char c = text[pos++];
+    if (c != '0' && c != '1') {
+      return Status::InvalidArgument("PBM pixel must be 0 or 1");
+    }
+    bitmap.bits_[filled++] = c == '1' ? 1 : 0;
   }
   return bitmap;
 }
@@ -71,12 +108,6 @@ std::string Bitmap::ToPbm() const {
     out << "\n";
   }
   return out.str();
-}
-
-bool Bitmap::Get(int x, int y) const {
-  if (x < 0 || y < 0 || x >= width_ || y >= height_) return false;
-  return bits_[static_cast<size_t>(y) * static_cast<size_t>(width_) +
-               static_cast<size_t>(x)] != 0;
 }
 
 void Bitmap::Set(int x, int y, bool on) {
@@ -109,27 +140,28 @@ Bitmap Bitmap::ScaledNearest(int new_width, int new_height) const {
 Bitmap Bitmap::ScaledBox(int new_width, int new_height) const {
   Bitmap out(new_width, new_height);
   if (empty() || out.empty()) return out;
+  // The source span [first, last) that destination cell `i` covers along
+  // an axis of `from` source and `to` destination cells: at least one
+  // source cell, and never past the source edge since i < to.
+  auto span = [](int i, int from, int to) {
+    int first = static_cast<int>((static_cast<int64_t>(i) * from) / to);
+    int last = static_cast<int>((static_cast<int64_t>(i + 1) * from) / to);
+    return std::pair<int, int>{first, std::max(last, first + 1)};
+  };
+  std::vector<std::pair<int, int>> columns(static_cast<size_t>(out.width_));
+  for (int x = 0; x < out.width_; ++x) {
+    columns[static_cast<size_t>(x)] = span(x, width_, out.width_);
+  }
+  uint8_t* dst = out.bits_.data();
   for (int y = 0; y < out.height_; ++y) {
-    int sy0 = static_cast<int>(
-        (static_cast<int64_t>(y) * height_) / out.height_);
-    int sy1 = static_cast<int>(
-        (static_cast<int64_t>(y + 1) * height_) / out.height_);
-    if (sy1 <= sy0) sy1 = sy0 + 1;
-    for (int x = 0; x < out.width_; ++x) {
-      int sx0 = static_cast<int>(
-          (static_cast<int64_t>(x) * width_) / out.width_);
-      int sx1 = static_cast<int>(
-          (static_cast<int64_t>(x + 1) * width_) / out.width_);
-      if (sx1 <= sx0) sx1 = sx0 + 1;
+    auto [sy0, sy1] = span(y, height_, out.height_);
+    for (auto [sx0, sx1] : columns) {
       int set = 0;
-      int total = 0;
-      for (int sy = sy0; sy < sy1 && sy < height_; ++sy) {
-        for (int sx = sx0; sx < sx1 && sx < width_; ++sx) {
-          ++total;
-          if (Get(sx, sy)) ++set;
-        }
+      for (int sy = sy0; sy < sy1; ++sy) {
+        const uint8_t* row = row_bits(sy);
+        for (int sx = sx0; sx < sx1; ++sx) set += row[sx];
       }
-      out.Set(x, y, total > 0 && 2 * set >= total);
+      *dst++ = 2 * set >= (sy1 - sy0) * (sx1 - sx0) ? 1 : 0;
     }
   }
   return out;

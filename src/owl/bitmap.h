@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -22,8 +23,10 @@ class Bitmap {
   /// Creates a cleared bitmap of the given dimensions.
   Bitmap(int width, int height);
 
-  /// Parses an ASCII PBM ("P1 w h" then 0/1 cells, whitespace-separated;
-  /// '#' comments allowed).
+  /// Parses an ASCII PBM ("P1 w h" then 0/1 cells, packed or
+  /// whitespace-separated; '#' comments allowed). Dimensions are digits
+  /// only, 1..65536 each; a header claiming more pixels than the text
+  /// has bytes left is refused before anything is allocated.
   static Result<Bitmap> FromPbm(std::string_view text);
 
   /// Serializes back to ASCII PBM.
@@ -34,8 +37,17 @@ class Bitmap {
   bool empty() const { return width_ == 0 || height_ == 0; }
 
   /// Pixel access; out-of-bounds reads return false, writes are ignored.
-  bool Get(int x, int y) const;
+  bool Get(int x, int y) const {
+    if (x < 0 || y < 0 || x >= width_ || y >= height_) return false;
+    return row_bits(y)[x] != 0;
+  }
   void Set(int x, int y, bool on);
+
+  /// Row `y` (0 <= y < height()) as one byte per pixel, 0 or 1.
+  const uint8_t* row_bits(int y) const {
+    return bits_.data() +
+           static_cast<size_t>(y) * static_cast<size_t>(width_);
+  }
 
   /// Count of set pixels.
   int PopCount() const;

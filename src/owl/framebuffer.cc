@@ -1,6 +1,7 @@
 #include "owl/framebuffer.h"
 
 #include <algorithm>
+#include <cstdint>
 
 namespace ode::owl {
 
@@ -14,26 +15,19 @@ void Framebuffer::Clear(char fill) {
   std::fill(cells_.begin(), cells_.end(), fill);
 }
 
-void Framebuffer::Put(int x, int y, char c) {
-  if (x < 0 || y < 0 || x >= width_ || y >= height_) return;
-  cells_[static_cast<size_t>(y) * static_cast<size_t>(width_) +
-         static_cast<size_t>(x)] = c;
-}
-
-char Framebuffer::At(int x, int y) const {
-  if (x < 0 || y < 0 || x >= width_ || y >= height_) return ' ';
-  return cells_[static_cast<size_t>(y) * static_cast<size_t>(width_) +
-                static_cast<size_t>(x)];
-}
-
 void Framebuffer::DrawText(int x, int y, std::string_view text) {
-  for (size_t i = 0; i < text.size(); ++i) {
-    Put(x + static_cast<int>(i), y, text[i]);
-  }
+  if (y < 0 || y >= height_ || x >= width_) return;
+  // Cut the part left of column 0, then copy what fits on the row.
+  const size_t skip = x < 0 ? static_cast<size_t>(-int64_t{x}) : 0;
+  if (skip >= text.size()) return;
+  const int first = std::max(x, 0);
+  const size_t count =
+      std::min(text.size() - skip, static_cast<size_t>(width_ - first));
+  std::copy_n(text.data() + skip, count, cells_.data() + Index(first, y));
 }
 
 void Framebuffer::DrawHLine(int x, int y, int length, char c) {
-  for (int i = 0; i < length; ++i) Put(x + i, y, c);
+  FillRect(Rect{x, y, length, 1}, c);
 }
 
 void Framebuffer::DrawVLine(int x, int y, int length, char c) {
@@ -53,17 +47,27 @@ void Framebuffer::DrawBox(const Rect& rect) {
 }
 
 void Framebuffer::FillRect(const Rect& rect, char c) {
-  for (int y = rect.y; y < rect.bottom(); ++y) {
-    for (int x = rect.x; x < rect.right(); ++x) Put(x, y, c);
+  const int x0 = std::max(rect.x, 0);
+  const int x1 = std::min(rect.right(), width_);
+  const int y1 = std::min(rect.bottom(), height_);
+  if (x0 >= x1) return;
+  for (int y = std::max(rect.y, 0); y < y1; ++y) {
+    std::fill_n(cells_.data() + Index(x0, y), x1 - x0, c);
   }
 }
 
 void Framebuffer::DrawBitmap(int x, int y, const Bitmap& bitmap, char on,
                              char off) {
-  for (int by = 0; by < bitmap.height(); ++by) {
-    for (int bx = 0; bx < bitmap.width(); ++bx) {
-      Put(x + bx, y + by, bitmap.Get(bx, by) ? on : off);
-    }
+  // Bitmap columns [bx0, bx1) and rows [by0, by1) land on the buffer.
+  const int bx0 = std::max(0, -x);
+  const int bx1 = std::min(bitmap.width(), width_ - x);
+  const int by0 = std::max(0, -y);
+  const int by1 = std::min(bitmap.height(), height_ - y);
+  if (bx0 >= bx1) return;
+  for (int by = by0; by < by1; ++by) {
+    const uint8_t* bits = bitmap.row_bits(by);
+    char* out = cells_.data() + Index(x + bx0, y + by);
+    for (int bx = bx0; bx < bx1; ++bx) *out++ = bits[bx] ? on : off;
   }
 }
 
@@ -72,7 +76,7 @@ std::string Framebuffer::ToString() const {
   out.reserve(static_cast<size_t>(height_) *
               (static_cast<size_t>(width_) + 1));
   for (int y = 0; y < height_; ++y) {
-    out.append(Row(y));
+    out.append(cells_.data() + Index(0, y), static_cast<size_t>(width_));
     out.push_back('\n');
   }
   return out;

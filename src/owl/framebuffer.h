@@ -12,6 +12,11 @@ namespace ode::owl {
 
 /// A character-cell frame buffer the headless server composes windows
 /// into. Tests and examples assert on / print its `ToString()`.
+///
+/// Every primitive clips to the buffer: the run primitives (`FillRect`,
+/// `DrawHLine`, `DrawText`, `DrawBitmap`) clip each row run once and
+/// then fill or copy it whole, writing exactly the cells a loop of
+/// `Put` calls would.
 class Framebuffer {
  public:
   Framebuffer(int width, int height);
@@ -23,8 +28,13 @@ class Framebuffer {
   void Clear(char fill = ' ');
 
   /// Single-cell write; out-of-bounds writes are clipped.
-  void Put(int x, int y, char c);
-  char At(int x, int y) const;  ///< out-of-bounds reads return ' '
+  void Put(int x, int y, char c) {
+    if (Contains(x, y)) cells_[Index(x, y)] = c;
+  }
+  /// Out-of-bounds reads return ' '.
+  char At(int x, int y) const {
+    return Contains(x, y) ? cells_[Index(x, y)] : ' ';
+  }
 
   /// Writes `text` starting at (x, y), clipped to the row.
   void DrawText(int x, int y, std::string_view text);
@@ -51,6 +61,14 @@ class Framebuffer {
   std::string Row(int y) const;
 
  private:
+  bool Contains(int x, int y) const {
+    return x >= 0 && y >= 0 && x < width_ && y < height_;
+  }
+  size_t Index(int x, int y) const {
+    return static_cast<size_t>(y) * static_cast<size_t>(width_) +
+           static_cast<size_t>(x);
+  }
+
   int width_;
   int height_;
   std::vector<char> cells_;

@@ -5,9 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string_view>
+
 #include "dynlink/lab_modules.h"
 #include "odb/labdb.h"
 #include "odeview/app.h"
+#include "odeview/browse_node.h"
+#include "odeview/db_interactor.h"
 #include "owl/widgets.h"
 
 namespace ode::owl {
@@ -128,6 +133,95 @@ TEST(GoldenRenderTest, InitialDatabaseWindow) {
             "|                                    |  \n"
             "+------------------------------------+  \n"
             "                                        \n");
+}
+
+/// FNV-1a over `bytes`, continuing from `hash`.
+uint64_t Fnv1a(uint64_t hash, std::string_view bytes) {
+  for (unsigned char c : bytes) {
+    hash ^= c;
+    hash *= 1099511628211ULL;
+  }
+  return hash;
+}
+
+// The whole screen after a `next` on the browse network perfbench drives
+// (root text and picture, dept and boss text, dept.head,
+// dept.employees and dept.projects), on a screen small enough that
+// windows overlap and clip at its right and bottom edges; then a digest
+// of the screens of the next 50 presses. A drawing or object-text
+// change that moves one cell anywhere on the screen fails here.
+TEST(GoldenRenderTest, BrowseNetworkFullScreen) {
+  auto db = std::move(*odb::Database::CreateInMemory("lab"));
+  odb::LabDbConfig config;
+  config.employees = 30;
+  config.seed = 11;
+  ASSERT_TRUE(odb::BuildLabDatabase(db.get(), config).ok());
+  OdeViewApp app(64, 24);
+  ASSERT_TRUE(dynlink::RegisterLabDisplayModules(app.repository(), "lab",
+                                                 db->schema())
+                  .ok());
+  ASSERT_TRUE(app.AddDatabaseBorrowed(db.get()).ok());
+  ASSERT_TRUE(app.OpenInitialWindow().ok());
+  Result<DbInteractor*> interactor = app.OpenDatabase("lab");
+  ASSERT_TRUE(interactor.ok());
+  Result<BrowseNode*> root = (*interactor)->OpenObjectSet("employee");
+  ASSERT_TRUE(root.ok());
+  ASSERT_TRUE((*root)->Next().ok());
+  ASSERT_TRUE((*root)->ToggleFormat("text").ok());
+  ASSERT_TRUE((*root)->ToggleFormat("picture").ok());
+  Result<BrowseNode*> dept = (*root)->FollowReference("dept");
+  ASSERT_TRUE(dept.ok());
+  ASSERT_TRUE((*dept)->ToggleFormat("text").ok());
+  Result<BrowseNode*> boss = (*root)->FollowReference("boss");
+  ASSERT_TRUE(boss.ok());
+  ASSERT_TRUE((*boss)->ToggleFormat("text").ok());
+  ASSERT_TRUE((*dept)->FollowReference("head").ok());
+  ASSERT_TRUE((*dept)->FollowReferenceSet("employees").ok());
+  ASSERT_TRUE((*dept)->FollowReferenceSet("projects").ok());
+  ASSERT_TRUE((*root)->Reset().ok());
+
+  ASSERT_TRUE((*root)->Next().ok());
+  EXPECT_EQ(app.server()->Composite().ToString(),
+            "+[ lab schema ]-+[ manager: mgr_kara ]---------------+----------\n"
+            "|[zoom in]   [zo|manager c3:o1 (v2)                 ^|          \n"
+            "|[+[ employee ob|n+[ department.employees object set ]----------\n"
+            "| |[reset]  [nex|a|[reset]  [next]  [previous]                  \n"
+            "| |o+[ employee:|t|o+[ employee: rakesh ]----------------+      \n"
+            "| |[|employee c1|d|[|employee c1:o1 (v2)                ^|      \n"
+            "| |[|n+[ employe|b|[|n+[ employee c1:o1 [+              :|      \n"
+            "| | |a|object: d|p| |a|##################|              :|      \n"
+            "+[ department.projects object set ]------------+        :|      \n"
+            "|[reset]  [next]  [previous]                   |        :|      \n"
+            "|object: project c4:o1 (1/2)                   |        :|      \n"
+            "|[text]                                        |        :|------\n"
+            "|[lead]                                        |        :|   #| \n"
+            "|[members]                                     |        :|## #| \n"
+            "|[project]                                     |        :|---+| \n"
+            "|                                              |        v|   |+ \n"
+            "|                                              |.......> |   |  \n"
+            "+----------------------------------------------+---------+   |  \n"
+            "|       | | |b|[employees]  [projects]                       |  \n"
+            "|       | +-|p|[project]                                     |  \n"
+            "|       |<..|l|                                              |  \n"
+            "|       +---|h|                                              |  \n"
+            "|           |e|                                              |  \n"
+            "+-----------|p+----------------------------------------------+--\n");
+
+  // The next 50 presses pass the end of the 30-object cluster once; as
+  // in perfbench, the press that runs off the end resets the set.
+  uint64_t digest = 1469598103934665603ULL;
+  int resets = 0;
+  for (int press = 0; press < 50; ++press) {
+    Status status = (*root)->Next();
+    if (status.IsOutOfRange()) {
+      ++resets;
+      status = (*root)->Reset();
+    }
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    digest = Fnv1a(digest, app.server()->Composite().ToString());
+  }
+  EXPECT_EQ(resets, 1);
+  EXPECT_EQ(digest, 0xf7d0bedfca6e794fULL);
 }
 
 }  // namespace

@@ -567,6 +567,30 @@ TEST_F(OdeViewSession, DisplayFaultKillsOnlyThatInteractor) {
   ASSERT_TRUE(broken->Next().ok());
 }
 
+TEST_F(OdeViewSession, HostilePictureFaultsOnlyThatInteractor) {
+  // A stored picture whose PBM header claims 65536 x 65536 pixels in 16
+  // bytes: the parser refuses it before allocating, and only the
+  // interactor showing it faults.
+  Result<std::vector<odb::Oid>> employees = db_->ScanCluster("employee");
+  ASSERT_TRUE(employees.ok());
+  Result<odb::ObjectBuffer> first = db_->GetObject(employees->front());
+  ASSERT_TRUE(first.ok());
+  odb::Value value = first->value;
+  *value.FindMutableField("picture") = odb::Value::Blob("P1 65536 65536 1");
+  ASSERT_TRUE(db_->UpdateObject(first->oid, value).ok());
+  DbInteractor* interactor = OpenLab();
+  BrowseNode* hostile = *interactor->OpenObjectSet("employee");
+  ASSERT_TRUE(hostile->Next().ok());
+  ASSERT_TRUE(hostile->ToggleFormat("picture").ok());
+  EXPECT_TRUE(hostile->faulted());
+  EXPECT_NE(hostile->fault_message().find("too few pixels"),
+            std::string::npos);
+  BrowseNode* managers = *interactor->OpenObjectSet("manager");
+  ASSERT_TRUE(managers->Next().ok());
+  ASSERT_TRUE(managers->ToggleFormat("picture").ok());
+  EXPECT_FALSE(managers->faulted());
+}
+
 TEST_F(OdeViewSession, FaultInChildDoesNotKillParent) {
   ASSERT_TRUE(dynlink::RegisterFaultyDisplayModule(app_->repository(),
                                                    "lab", "department")

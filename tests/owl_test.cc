@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <random>
+#include <string_view>
+
 #include "owl/bitmap.h"
 #include "owl/framebuffer.h"
 #include "owl/server.h"
@@ -61,6 +66,19 @@ TEST(BitmapTest, PbmErrors) {
   EXPECT_FALSE(Bitmap::FromPbm("P1 2 2 0 0 0 2").ok()); // bad digit
   EXPECT_FALSE(Bitmap::FromPbm("P1 0 5 ").ok());        // zero dim
   EXPECT_FALSE(Bitmap::FromPbm("").ok());
+  EXPECT_FALSE(Bitmap::FromPbm("P1 2").ok());           // no height
+  // A dimension is digits only: no suffix, sign or hex.
+  EXPECT_TRUE(
+      Bitmap::FromPbm("P1 2x 2 0 0 0 0").status().IsInvalidArgument());
+  EXPECT_FALSE(Bitmap::FromPbm("P1 +2 2 0 0 0 0").ok());
+  EXPECT_FALSE(Bitmap::FromPbm("P1 2 -2 0 0 0 0").ok());
+  EXPECT_FALSE(Bitmap::FromPbm("P1 0x2 2 0 0 0 0").ok());
+  EXPECT_FALSE(Bitmap::FromPbm("P1 65537 1 1").ok());
+  EXPECT_FALSE(Bitmap::FromPbm("P1 99999999999 1 1").ok());
+  // A header claiming 2^32 pixels in a 16-byte text is refused before
+  // the pixel buffer is allocated.
+  EXPECT_TRUE(
+      Bitmap::FromPbm("P1 65536 65536 1").status().IsInvalidArgument());
 }
 
 TEST(BitmapTest, OutOfBoundsSafe) {
@@ -167,6 +185,138 @@ TEST(FramebufferTest, FillAndBitmap) {
 TEST(FramebufferTest, ToStringIsRectangular) {
   Framebuffer fb(3, 2);
   EXPECT_EQ(fb.ToString(), "   \n   \n");
+}
+
+// --- Run primitives against per-cell references ---------------------------
+//
+// Each primitive must write exactly the cells a per-cell `Put` loop
+// writes, for runs that start before, straddle, or end past each edge of
+// a small screen, and for zero and negative extents.
+
+constexpr int kScreenW = 7;
+constexpr int kScreenH = 5;
+
+Framebuffer Background() {
+  Framebuffer fb(kScreenW, kScreenH);
+  fb.Clear('.');
+  return fb;
+}
+
+TEST(FramebufferRunTest, FillRectMatchesPerCellPuts) {
+  for (int x = -9; x <= kScreenW + 1; ++x) {
+    for (int y = -3; y <= kScreenH + 1; ++y) {
+      for (int w = -2; w <= kScreenW + 4; ++w) {
+        for (int h = -2; h <= kScreenH + 3; ++h) {
+          Rect rect{x, y, w, h};
+          Framebuffer fast = Background();
+          Framebuffer slow = Background();
+          fast.FillRect(rect, '#');
+          for (int cy = y; cy < rect.bottom(); ++cy) {
+            for (int cx = x; cx < rect.right(); ++cx) slow.Put(cx, cy, '#');
+          }
+          ASSERT_EQ(fast.ToString(), slow.ToString()) << rect.ToString();
+        }
+      }
+    }
+  }
+}
+
+TEST(FramebufferRunTest, HLineAndTextMatchPerCellPuts) {
+  const std::string_view alphabet = "abcdefghijklmn";
+  for (int x = -16; x <= kScreenW + 1; ++x) {
+    for (int y = -1; y <= kScreenH; ++y) {
+      for (int length = -2; length <= static_cast<int>(alphabet.size());
+           ++length) {
+        Framebuffer fast = Background();
+        Framebuffer slow = Background();
+        fast.DrawHLine(x, y, length, '=');
+        for (int i = 0; i < length; ++i) slow.Put(x + i, y, '=');
+        ASSERT_EQ(fast.ToString(), slow.ToString())
+            << "hline x=" << x << " y=" << y << " length=" << length;
+        if (length < 0) continue;
+        std::string_view text = alphabet.substr(0, length);
+        fast.DrawText(x, y, text);
+        for (size_t i = 0; i < text.size(); ++i) {
+          slow.Put(x + static_cast<int>(i), y, text[i]);
+        }
+        ASSERT_EQ(fast.ToString(), slow.ToString())
+            << "text x=" << x << " y=" << y << " '" << text << "'";
+      }
+    }
+  }
+}
+
+TEST(FramebufferRunTest, DrawBitmapMatchesPerCellPuts) {
+  std::mt19937 rng(1990);
+  for (int bw = 0; bw <= kScreenW + 3; ++bw) {
+    for (int bh = 0; bh <= kScreenH + 2; ++bh) {
+      Bitmap bitmap(bw, bh);
+      for (int by = 0; by < bh; ++by) {
+        for (int bx = 0; bx < bw; ++bx) {
+          bitmap.Set(bx, by, (rng() & 1) != 0);
+        }
+      }
+      for (int x = -bw - 1; x <= kScreenW + 1; ++x) {
+        for (int y = -bh - 1; y <= kScreenH + 1; ++y) {
+          Framebuffer fast = Background();
+          Framebuffer slow = Background();
+          fast.DrawBitmap(x, y, bitmap, '#', ' ');
+          for (int by = 0; by < bh; ++by) {
+            for (int bx = 0; bx < bw; ++bx) {
+              slow.Put(x + bx, y + by, bitmap.Get(bx, by) ? '#' : ' ');
+            }
+          }
+          ASSERT_EQ(fast.ToString(), slow.ToString())
+              << bw << "x" << bh << " at " << x << "," << y;
+        }
+      }
+    }
+  }
+}
+
+// The box filter as a naive per-destination-pixel loop over `Get`.
+Bitmap NaiveScaledBox(const Bitmap& src, int new_width, int new_height) {
+  Bitmap out(new_width, new_height);
+  if (src.empty() || out.empty()) return out;
+  const int64_t w = src.width();
+  const int64_t h = src.height();
+  for (int y = 0; y < new_height; ++y) {
+    int sy0 = static_cast<int>(y * h / new_height);
+    int sy1 = std::max(sy0 + 1, static_cast<int>((y + 1) * h / new_height));
+    for (int x = 0; x < new_width; ++x) {
+      int sx0 = static_cast<int>(x * w / new_width);
+      int sx1 =
+          std::max(sx0 + 1, static_cast<int>((x + 1) * w / new_width));
+      int set = 0;
+      int total = 0;
+      for (int sy = sy0; sy < sy1 && sy < h; ++sy) {
+        for (int sx = sx0; sx < sx1 && sx < w; ++sx) {
+          ++total;
+          set += src.Get(sx, sy) ? 1 : 0;
+        }
+      }
+      out.Set(x, y, total > 0 && 2 * set >= total);
+    }
+  }
+  return out;
+}
+
+TEST(BitmapTest, ScaledBoxMatchesNaiveBoxFilter) {
+  std::mt19937 rng(11);
+  for (int sw = 1; sw <= 20; ++sw) {
+    for (int sh = 1; sh <= 20; ++sh) {
+      Bitmap src(sw, sh);
+      for (int y = 0; y < sh; ++y) {
+        for (int x = 0; x < sw; ++x) src.Set(x, y, (rng() & 1) != 0);
+      }
+      for (int dw = 1; dw <= 20; ++dw) {
+        for (int dh = 1; dh <= 20; ++dh) {
+          ASSERT_EQ(src.ScaledBox(dw, dh), NaiveScaledBox(src, dw, dh))
+              << sw << "x" << sh << " -> " << dw << "x" << dh;
+        }
+      }
+    }
+  }
 }
 
 // --- Widgets -----------------------------------------------------------------------

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <utility>
+#include <vector>
+
 #include "odb/value.h"
 #include "odb/value_codec.h"
 
@@ -118,6 +123,59 @@ TEST(ValueTest, ToStringRendering) {
   EXPECT_EQ(Value::Struct({{"x", Value::Int(1)}}).ToString(), "{x: 1}");
   EXPECT_EQ(Value::Array({Value::Int(1), Value::Int(2)}).ToString(),
             "[1, 2]");
+}
+
+// Text forms pinned to what the stream-based formatter printed: reals
+// are %g at precision 6, integers in full.
+TEST(ValueTest, ScalarTextFormsArePinned) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::pair<Value, std::string>> cases = {
+      {Value::Real(0.1), "0.1"},
+      {Value::Real(90000.5), "90000.5"},
+      {Value::Real(1.0 / 7), "0.142857"},
+      {Value::Real(1e20), "1e+20"},
+      {Value::Real(1e-7), "1e-07"},
+      {Value::Real(123456789.0), "1.23457e+08"},
+      {Value::Real(-0.0), "-0"},
+      {Value::Real(inf), "inf"},
+      {Value::Real(-inf), "-inf"},
+      {Value::Real(std::numeric_limits<double>::quiet_NaN()), "nan"},
+      {Value::Int(INT64_MIN), "-9223372036854775808"},
+      {Value::Int(INT64_MAX), "9223372036854775807"},
+      {Value::Int(0), "0"},
+      {Value::String("a\"b\\c\nd"), "\"a\\\"b\\\\c\nd\""},
+      {Value::Blob(std::string("\0\1", 2)), "<blob 2B>"},
+      {Value::Ref(Oid::Null(), "employee"), "@employee(null)"},
+      {Value::Ref(Oid{3, 17}, "dept"), "@dept(c3:o17)"},
+  };
+  for (const auto& [value, text] : cases) {
+    EXPECT_EQ(value.ToString(), text);
+    EXPECT_EQ(value.ToIndentedString(1), "  " + text + "\n");
+  }
+}
+
+TEST(ValueTest, NestedTextFormsArePinned) {
+  Value set = Value::Set(
+      {Value::Struct({{"x", Value::Real(2.5)},
+                      {"who", Value::Ref(Oid{1, 2}, "employee")}}),
+       Value::Int(-4)});
+  EXPECT_EQ(set.ToString(), "({x: 2.5, who: @employee(c1:o2)}, -4)");
+  EXPECT_EQ(set.ToIndentedString(1),
+            "  -\n"
+            "    x: 2.5\n"
+            "    who: @employee(c1:o2)\n"
+            "  - -4\n");
+  Value outer = Value::Struct(
+      {{"inner", Value::Set({Value::Struct({{"a", Value::Bool(false)}}),
+                             Value::Null()})},
+       {"r", Value::Real(123456789.0)}});
+  EXPECT_EQ(outer.ToString(), "{inner: ({a: false}, null), r: 1.23457e+08}");
+  EXPECT_EQ(outer.ToIndentedString(1),
+            "  inner:\n"
+            "    -\n"
+            "      a: false\n"
+            "    - null\n"
+            "  r: 1.23457e+08\n");
 }
 
 TEST(ValueTest, IndentedStringNestsStructures) {

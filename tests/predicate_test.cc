@@ -164,6 +164,13 @@ struct ParseCase {
   bool expected;  // against Employee("rakesh", 35, 90000.5)
 };
 
+// Names each case after its predicate so the discovered test name is the same
+// on every build; gtest's default byte dump would print the text pointer.
+void PrintTo(const ParseCase& c, std::ostream* os) {
+  *os << (c.expected ? "true: " : "false: ")
+      << (*c.text == '\0' ? "(empty)" : c.text);
+}
+
 class PredicateParseEval : public ::testing::TestWithParam<ParseCase> {};
 
 TEST_P(PredicateParseEval, EvaluatesAsExpected) {

@@ -19,7 +19,12 @@ view::BrowseNode* BuildChain(view::BrowseNode* node, int depth,
   for (int i = 0; i < depth; ++i) {
     const char* member = (i % 2 == 0) ? "dept" : "head";
     node = ValueOrDie(node->FollowReference(member), "follow");
-    if (displays_open) CheckOk(node->ToggleFormat("text"), "open text");
+    // Display state is per class and the chain alternates two classes,
+    // so from the third link on the text display is already open; a
+    // second toggle would close it for every node of that class.
+    if (displays_open && !node->IsFormatOpen("text")) {
+      CheckOk(node->ToggleFormat("text"), "open text");
+    }
   }
   return node;
 }

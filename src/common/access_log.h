@@ -21,8 +21,8 @@ namespace ode::obs {
 /// part of the capture file format (see `AccessTraceWriter`) — append
 /// only, never renumber.
 enum class AccessOp : uint8_t {
-  kGet = 0,     ///< point read (Get / cursor fetch)
-  kScan = 1,    ///< batched sequential read (NextRecords / executor scan)
+  kGet = 0,     ///< point read (Get)
+  kScan = 1,    ///< batched read (RecordsInto: cursor and executor scans)
   kCreate = 2,  ///< record inserted
   kUpdate = 3,  ///< record rewritten
   kDelete = 4,  ///< record removed

@@ -1,6 +1,7 @@
 #include "odb/database.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/coding.h"
 #include "common/journal.h"
@@ -614,55 +615,6 @@ Result<Oid> Database::PrevObject(Oid oid) {
   return Oid{oid.cluster, id};
 }
 
-Result<ObjectBuffer> Database::NextObjectBuffer(Oid oid) {
-  ReaderMutexLock lock(schema_mu_);
-  ODE_ASSIGN_OR_RETURN(std::vector<ObjectBuffer> batch,
-                       StepObjectBuffers(oid, /*forward=*/true, 1));
-  return std::move(batch.front());
-}
-
-Result<ObjectBuffer> Database::PrevObjectBuffer(Oid oid) {
-  ReaderMutexLock lock(schema_mu_);
-  ODE_ASSIGN_OR_RETURN(std::vector<ObjectBuffer> batch,
-                       StepObjectBuffers(oid, /*forward=*/false, 1));
-  return std::move(batch.front());
-}
-
-Result<std::vector<ObjectBuffer>> Database::NextObjectBuffers(Oid oid,
-                                                              size_t limit) {
-  ReaderMutexLock lock(schema_mu_);
-  return StepObjectBuffers(oid, /*forward=*/true, limit);
-}
-
-Result<std::vector<ObjectBuffer>> Database::PrevObjectBuffers(Oid oid,
-                                                              size_t limit) {
-  ReaderMutexLock lock(schema_mu_);
-  return StepObjectBuffers(oid, /*forward=*/false, limit);
-}
-
-Result<std::vector<ObjectBuffer>> Database::StepObjectBuffers(Oid oid,
-                                                              bool forward,
-                                                              size_t limit) {
-  ODE_ASSIGN_OR_RETURN(const ClusterInfo* info,
-                       catalog_->FindCluster(oid.cluster));
-  ODE_ASSIGN_OR_RETURN(HeapFile * heap, GetHeap(oid.cluster));
-  auto stepped = forward ? heap->NextRecords(oid.local, limit)
-                         : heap->PrevRecords(oid.local, limit);
-  ODE_RETURN_IF_ERROR(stepped.status());
-  std::vector<ObjectBuffer> out;
-  out.reserve(stepped->size());
-  for (auto& [local, bytes] : *stepped) {
-    ODE_ASSIGN_OR_RETURN(ObjectRecord record, DecodeObjectRecord(bytes));
-    ObjectBuffer buffer;
-    buffer.oid = Oid{oid.cluster, local};
-    buffer.class_name = info->class_name;
-    buffer.version = record.version;
-    buffer.value = std::move(record.value);
-    out.push_back(std::move(buffer));
-  }
-  return out;
-}
-
 Result<std::vector<Oid>> Database::ScanCluster(
     const std::string& class_name) {
   ReaderMutexLock lock(schema_mu_);
@@ -732,15 +684,17 @@ Result<exec::ExplainResult> Database::ExplainJoin(
   return exec::ExplainJoin(this, spec, analyze);
 }
 
-Status Database::ScanRawRecords(const std::string& class_name, uint64_t after,
-                                size_t limit, RawRecordBatch* out) {
+Status Database::ScanRawRecords(const std::string& class_name, uint64_t from,
+                                size_t limit, RawRecordBatch* out,
+                                bool forward) {
+  out->clear();
   ReaderMutexLock lock(schema_mu_);
   ODE_ASSIGN_OR_RETURN(const ClusterInfo* info,
                        catalog_->FindCluster(class_name));
   ODE_ASSIGN_OR_RETURN(HeapFile * heap, GetHeap(info->id));
   out->cluster = info->id;
-  Status status =
-      heap->NextRecordsInto(after, limit, &out->arena, &out->records);
+  Status status = heap->RecordsInto(from, forward, limit, &out->arena,
+                                    &out->records);
   if (status.IsOutOfRange()) return Status::OK();  // exhausted: empty batch
   return status;
 }
@@ -922,28 +876,6 @@ Result<Oid> Session::PrevObject(Oid oid) {
   return db_->PrevObject(oid);
 }
 
-Result<ObjectBuffer> Session::NextObjectBuffer(Oid oid) {
-  obs::ProfiledOp op(entry_.get(), "next_object_buffer");
-  return db_->NextObjectBuffer(oid);
-}
-
-Result<ObjectBuffer> Session::PrevObjectBuffer(Oid oid) {
-  obs::ProfiledOp op(entry_.get(), "prev_object_buffer");
-  return db_->PrevObjectBuffer(oid);
-}
-
-Result<std::vector<ObjectBuffer>> Session::NextObjectBuffers(Oid oid,
-                                                             size_t limit) {
-  obs::ProfiledOp op(entry_.get(), "next_object_buffers");
-  return db_->NextObjectBuffers(oid, limit);
-}
-
-Result<std::vector<ObjectBuffer>> Session::PrevObjectBuffers(Oid oid,
-                                                             size_t limit) {
-  obs::ProfiledOp op(entry_.get(), "prev_object_buffers");
-  return db_->PrevObjectBuffers(oid, limit);
-}
-
 Result<std::vector<Oid>> Session::ScanCluster(const std::string& class_name) {
   obs::ProfiledOp op(entry_.get(), "scan_cluster");
   return db_->ScanCluster(class_name);
@@ -962,68 +894,65 @@ Result<Oid> ObjectCursor::Current() const {
   return *current_;
 }
 
-Result<bool> ObjectCursor::Matches(const ObjectBuffer& buffer) const {
-  if (!filtered_) return true;
-  return compiled_.EvaluateOne(buffer.value, &scratch_);
-}
-
 namespace {
 
-/// Buffers fetched per cursor lock round-trip. Large enough to
+/// Records fetched per cursor lock round-trip. Large enough to
 /// amortize the locking, small enough that an invalidated batch
 /// (any concurrent mutation) wastes little work.
 constexpr size_t kCursorLookahead = 16;
 
 }  // namespace
 
+Status ObjectCursor::Fetch(bool forward, const std::optional<Oid>& pos) {
+  // Record the epoch before fetching: a mutation racing the fetch then
+  // invalidates the batch on the next step. `ScanRawRecords` clears the
+  // batch first, so a failed fetch leaves nothing to serve.
+  lookahead_pos_ = 0;
+  lookahead_epoch_ = db_->mutation_epoch();
+  lookahead_forward_ = forward;
+  lookahead_anchor_ = pos;
+  uint64_t from = pos.has_value() ? pos->local
+                  : forward       ? 0
+                                  : std::numeric_limits<uint64_t>::max();
+  ODE_RETURN_IF_ERROR(db_->ScanRawRecords(class_name_, from,
+                                          kCursorLookahead, &lookahead_,
+                                          forward));
+  if (!lookahead_.records.empty()) return Status::OK();
+  if (!pos.has_value()) {
+    return Status::OutOfRange("cluster '" + class_name_ + "' is empty");
+  }
+  return Status::OutOfRange(
+      (forward ? "no object after id " : "no object before id ") +
+      std::to_string(pos->local));
+}
+
 Result<ObjectBuffer> ObjectCursor::Step(bool forward) {
   // Walk with a local position so a mid-scan error keeps `current_`
   // where the caller left it; only a match commits the new position.
   std::optional<Oid> pos = current_;
   while (true) {
-    Result<ObjectBuffer> candidate = TakeNext(forward, pos);
-    if (!candidate.ok()) return candidate.status();
-    ODE_ASSIGN_OR_RETURN(bool match, Matches(*candidate));
-    pos = candidate->oid;
-    if (match) {
-      current_ = candidate->oid;
-      return std::move(*candidate);
-    }
-  }
-}
-
-Result<ObjectBuffer> ObjectCursor::TakeNext(bool forward,
-                                            const std::optional<Oid>& pos) {
-  if (!pos.has_value()) {
-    Result<Oid> edge = forward ? db_->FirstObject(class_name_)
-                               : db_->LastObject(class_name_);
-    if (!edge.ok()) {
-      return Status::OutOfRange("cluster '" + class_name_ + "' is empty");
-    }
-    return db_->GetObject(*edge);
-  }
-  uint64_t epoch = db_->mutation_epoch();
-  bool usable = lookahead_pos_ < lookahead_.size() &&
-                lookahead_forward_ == forward && lookahead_epoch_ == epoch &&
-                lookahead_anchor_ == pos;
-  if (!usable) {
-    // Record the epoch before fetching: a mutation racing the fetch
-    // then invalidates the batch on the next step.
-    lookahead_.clear();
-    lookahead_pos_ = 0;
-    lookahead_epoch_ = epoch;
-    lookahead_forward_ = forward;
+    bool usable = lookahead_pos_ < lookahead_.records.size() &&
+                  lookahead_forward_ == forward &&
+                  lookahead_epoch_ == db_->mutation_epoch() &&
+                  lookahead_anchor_ == pos;
+    if (!usable) ODE_RETURN_IF_ERROR(Fetch(forward, pos));
+    const HeapFile::RecordSpan& span = lookahead_.records[lookahead_pos_++];
+    pos = Oid{lookahead_.cluster, span.local_id};
     lookahead_anchor_ = pos;
-    Result<std::vector<ObjectBuffer>> batch =
-        forward ? db_->NextObjectBuffers(*pos, kCursorLookahead)
-                : db_->PrevObjectBuffers(*pos, kCursorLookahead);
-    if (!batch.ok()) return batch.status();
-    lookahead_ = std::move(*batch);
+    std::string_view bytes = lookahead_.bytes(span);
+    if (!compiled_.always_true()) {
+      // Select's evaluation: projected decode, compiled predicate.
+      ODE_ASSIGN_OR_RETURN(ProjectedRecord candidate,
+                           DecodeObjectRecordProjected(bytes, &mask_));
+      ODE_ASSIGN_OR_RETURN(bool match,
+                           compiled_.EvaluateOne(candidate.value, &scratch_));
+      if (!match) continue;
+    }
+    ODE_ASSIGN_OR_RETURN(ObjectRecord record, DecodeObjectRecord(bytes));
+    current_ = pos;
+    return ObjectBuffer{*pos, class_name_, record.version,
+                        std::move(record.value)};
   }
-  ObjectBuffer out = std::move(lookahead_[lookahead_pos_]);
-  ++lookahead_pos_;
-  lookahead_anchor_ = out.oid;
-  return out;
 }
 
 Result<ObjectBuffer> ObjectCursor::Next() { return Step(/*forward=*/true); }
@@ -1037,7 +966,8 @@ Status ObjectCursor::Seek(Oid oid) {
                                    " is not in cluster '" + class_name_ +
                                    "'");
   }
-  ODE_ASSIGN_OR_RETURN(bool match, Matches(buffer));
+  ODE_ASSIGN_OR_RETURN(bool match,
+                       compiled_.EvaluateOne(buffer.value, &scratch_));
   if (!match) {
     return Status::InvalidArgument("object " + oid.ToString() +
                                    " does not satisfy the cursor predicate");

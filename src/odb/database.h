@@ -21,6 +21,7 @@
 #include "odb/catalog.h"
 #include "odb/exec/compiled_predicate.h"
 #include "odb/heap_file.h"
+#include "odb/object_record.h"
 #include "odb/oid.h"
 #include "odb/pager.h"
 #include "odb/predicate.h"
@@ -54,10 +55,11 @@ struct ObjectBuffer {
 };
 
 /// One batch from the raw scan primitive: consecutive records of a
-/// cluster, their stored `ObjectRecord` bytes packed back to back in
-/// one arena. The batched executor decodes the spans under a
-/// projection mask instead of materializing full buffers; reusing the
-/// batch across calls makes the raw read allocation-free once warm.
+/// cluster, in scan order, their stored `ObjectRecord` bytes packed back
+/// to back in one arena. The batched executor and `ObjectCursor` decode
+/// the spans under a projection mask instead of materializing full
+/// buffers; reusing the batch across calls makes the raw read
+/// allocation-free once warm.
 struct RawRecordBatch {
   ClusterId cluster = 0;
   std::string arena;
@@ -200,19 +202,6 @@ class Database {
   Result<Oid> NextObject(Oid oid);
   Result<Oid> PrevObject(Oid oid);
 
-  /// Fused step: the full buffer of the object after / before `oid`,
-  /// in one lock round-trip (equivalent to NextObject + GetObject but
-  /// about half the cost — the cursor's hot path).
-  Result<ObjectBuffer> NextObjectBuffer(Oid oid);
-  Result<ObjectBuffer> PrevObjectBuffer(Oid oid);
-
-  /// Batched step: up to `limit` consecutive buffers after / before
-  /// `oid` in one lock round-trip. `ObjectCursor` uses this for its
-  /// read-ahead; the batch reflects the state at call time, so pair it
-  /// with `mutation_epoch()` when staleness matters.
-  Result<std::vector<ObjectBuffer>> NextObjectBuffers(Oid oid, size_t limit);
-  Result<std::vector<ObjectBuffer>> PrevObjectBuffers(Oid oid, size_t limit);
-
   /// Counter bumped by every successful mutation (schema changes and
   /// object create/update/delete). Lets cursors and caches detect that
   /// previously fetched state may be stale.
@@ -249,16 +238,19 @@ class Database {
                                           const Predicate& predicate,
                                           bool analyze);
 
-  /// Raw batched scan primitive for the executor: up to `limit`
-  /// (local id, record bytes) pairs with id greater than `after`, in
-  /// one lock round-trip. An exhausted scan returns an empty batch
-  /// (never OutOfRange). The schema lock is held per call, not across
-  /// the whole scan, so partitions interleave with mutations; callers
-  /// needing a stable snapshot bound the scan by `mutation_epoch()`.
-  /// `*out` is cleared (capacity retained) then refilled, so a looping
+  /// The one raw read records leave a cluster by, for the executor and
+  /// `ObjectCursor`: up to `limit` (local id, record bytes) pairs with
+  /// id greater than `from` (ascending), or less than `from` when
+  /// `forward` is false (descending), in one lock round-trip. An
+  /// exhausted scan returns an empty batch (never OutOfRange). The
+  /// schema lock is held per call, not across the whole scan, so scans
+  /// interleave with mutations; callers needing a stable snapshot bound
+  /// the scan by `mutation_epoch()`. `*out` is cleared (capacity
+  /// retained) before anything can fail, then refilled, so a looping
   /// caller reuses the arena instead of reallocating per batch.
-  Status ScanRawRecords(const std::string& class_name, uint64_t after,
-                        size_t limit, RawRecordBatch* out);
+  Status ScanRawRecords(const std::string& class_name, uint64_t from,
+                        size_t limit, RawRecordBatch* out,
+                        bool forward = true);
 
   // --- Triggers --------------------------------------------------------
 
@@ -340,9 +332,6 @@ class Database {
 
   /// Unlocked implementations (callers hold `schema_mu_`).
   Result<ObjectBuffer> GetObjectUnlocked(Oid oid)
-      ODE_REQUIRES_SHARED(schema_mu_);
-  Result<std::vector<ObjectBuffer>> StepObjectBuffers(Oid oid, bool forward,
-                                                      size_t limit)
       ODE_REQUIRES_SHARED(schema_mu_);
   void BumpMutationEpoch() {
     uint64_t epoch =
@@ -472,10 +461,6 @@ class Session {
   Result<Oid> LastObject(const std::string& class_name);
   Result<Oid> NextObject(Oid oid);
   Result<Oid> PrevObject(Oid oid);
-  Result<ObjectBuffer> NextObjectBuffer(Oid oid);
-  Result<ObjectBuffer> PrevObjectBuffer(Oid oid);
-  Result<std::vector<ObjectBuffer>> NextObjectBuffers(Oid oid, size_t limit);
-  Result<std::vector<ObjectBuffer>> PrevObjectBuffers(Oid oid, size_t limit);
   Result<std::vector<Oid>> ScanCluster(const std::string& class_name);
   Result<std::vector<Oid>> Select(const std::string& class_name,
                                   const Predicate& predicate);
@@ -500,20 +485,26 @@ class Session {
 /// Stateful cursor over one cluster with an optional selection
 /// predicate — the model behind the object-set window's `reset`,
 /// `next`, and `previous` buttons.
+///
+/// Reads through `Database::ScanRawRecords`, the raw batch read the
+/// executor's `Select` uses, and evaluates the predicate the way
+/// `Select` does: each candidate is decoded under the predicate's
+/// projection mask and tested with the compiled predicate, and only a
+/// match is fully decoded into a buffer.
 class ObjectCursor {
  public:
   /// Creates a cursor over `class_name`; no object is current until
   /// the first `Next()` (or after `Reset()`).
   ObjectCursor(Database* db, std::string class_name)
       : db_(db), class_name_(std::move(class_name)) {}
-  ObjectCursor(Database* db, std::string class_name, Predicate predicate)
+  ObjectCursor(Database* db, std::string class_name,
+               const Predicate& predicate)
       : db_(db),
         class_name_(std::move(class_name)),
-        predicate_(std::move(predicate)),
         // Compiled once here; stepping then evaluates the slot
         // program instead of re-walking the tree per object.
-        compiled_(exec::CompiledPredicate::Compile(predicate_)),
-        filtered_(true) {}
+        compiled_(exec::CompiledPredicate::Compile(predicate)),
+        mask_(ProjectionMask::FromPaths(predicate.AttributePaths())) {}
 
   const std::string& class_name() const { return class_name_; }
   bool has_current() const { return current_.has_value(); }
@@ -532,28 +523,27 @@ class ObjectCursor {
 
  private:
   Result<ObjectBuffer> Step(bool forward);
-  /// Yields the object following `*pos` (or the cluster edge when
-  /// `*pos` is empty), serving from the epoch-validated lookahead
-  /// batch when possible.
-  Result<ObjectBuffer> TakeNext(bool forward, const std::optional<Oid>& pos);
-  Result<bool> Matches(const ObjectBuffer& buffer) const;
+  /// Refills the lookahead with the batch after (`forward`) or before
+  /// `pos`, or from the cluster edge when `pos` is empty.
+  Status Fetch(bool forward, const std::optional<Oid>& pos);
 
   Database* db_;
   std::string class_name_;
-  Predicate predicate_ = Predicate::True();
+  /// Always true (no program) for an unfiltered cursor, whose mask is
+  /// then never used.
   exec::CompiledPredicate compiled_;
+  ProjectionMask mask_;
   /// Per-cursor evaluation state (field-index hints); cursors are
-  /// single-threaded, mutable so `Matches` stays const.
-  mutable exec::CompiledPredicate::Scratch scratch_;
-  bool filtered_ = false;
+  /// single-threaded.
+  exec::CompiledPredicate::Scratch scratch_;
   std::optional<Oid> current_;
 
-  /// Read-ahead of upcoming buffers, fetched one batch per lock
+  /// Raw records ahead of the cursor, fetched one batch per lock
   /// round-trip. Valid only while the database's mutation epoch is
-  /// unchanged; `lookahead_anchor_` is the position the entry at
+  /// unchanged; `lookahead_anchor_` is the position the record at
   /// `lookahead_pos_` directly follows. Any mismatch just refetches,
   /// so observable behaviour is identical to stepping record-by-record.
-  std::vector<ObjectBuffer> lookahead_;
+  RawRecordBatch lookahead_;
   size_t lookahead_pos_ = 0;
   std::optional<Oid> lookahead_anchor_;
   bool lookahead_forward_ = true;

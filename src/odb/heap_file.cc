@@ -13,7 +13,7 @@ namespace ode::odb {
 namespace {
 
 // Shared heap-layer instruments: scans over the full directory,
-// single-step sequential moves, records served by the batch paths,
+// single-step sequential moves, records served by the batch read,
 // and the three mutation kinds.
 obs::Counter& HeapScans() {
   static obs::Counter* c = obs::Registry::Global().counter("heap.scans");
@@ -243,16 +243,10 @@ Result<std::string> HeapFile::GetLocked(uint64_t local_id) const {
   ChargeAccess(obs::AccessOp::kGet, local_id, it->second.page);
   PageHandle handle;
   PageId held = kNoPage;
-  return ReadRecordLocked(local_id, it->second, &handle, &held);
-}
-
-Result<std::string> HeapFile::ReadRecordLocked(uint64_t local_id,
-                                               const Location& loc,
-                                               PageHandle* handle,
-                                               PageId* held) const {
   std::string payload;
   ODE_RETURN_IF_ERROR(
-      AppendRecordLocked(local_id, loc, handle, held, &payload).status());
+      AppendRecordLocked(local_id, it->second, &handle, &held, &payload)
+          .status());
   return payload;
 }
 
@@ -429,108 +423,50 @@ Result<uint64_t> HeapFile::PrevIdLocked(uint64_t before) const {
   return it->first;
 }
 
-Result<std::vector<std::pair<uint64_t, std::string>>> HeapFile::NextRecords(
-    uint64_t after, size_t limit) const {
-  ODE_TRACE_SPAN("heap.batch_read");
-  ReaderMutexLock lock(*mu_);
-  auto it = directory_.upper_bound(after);
-  if (it == directory_.end()) {
-    return Status::OutOfRange("no object after id " + std::to_string(after));
-  }
-  std::vector<std::pair<uint64_t, std::string>> out;
-  out.reserve(limit);
-  PageHandle handle;
-  PageId held = kNoPage;
-  for (; it != directory_.end() && out.size() < limit; ++it) {
-    ChargeAccess(obs::AccessOp::kScan, it->first, it->second.page);
-    ODE_ASSIGN_OR_RETURN(
-        std::string payload,
-        ReadRecordLocked(it->first, it->second, &handle, &held));
-    out.emplace_back(it->first, std::move(payload));
-  }
-  // Read-ahead: warm the page the record after the batch lives on. A
-  // limit-1 batch is a point lookup (the browse cascade's fused step),
-  // not a scan — the policy keeps those out of the prefetch queue.
-  if (it != directory_.end() && it->second.page != held) {
-    pool_->ReadAhead(it->second.page, /*point_lookup=*/limit == 1);
-  }
-  HeapBatchRecords().Add(out.size());
-  if (auto* profile = obs::CurrentOpProfile()) {
-    size_t bytes = 0;
-    for (const auto& [id, payload] : out) bytes += payload.size();
-    profile->ChargeHeapBatch(out.size(), bytes);
-  }
-  return out;
-}
-
-Status HeapFile::NextRecordsInto(uint64_t after, size_t limit,
-                                 std::string* arena,
-                                 std::vector<RecordSpan>* spans) const {
+Status HeapFile::RecordsInto(uint64_t from, bool forward, size_t limit,
+                             std::string* arena,
+                             std::vector<RecordSpan>* spans) const {
   ODE_TRACE_SPAN("heap.batch_read");
   arena->clear();
   spans->clear();
   ReaderMutexLock lock(*mu_);
-  auto it = directory_.upper_bound(after);
-  if (it == directory_.end()) {
-    return Status::OutOfRange("no object after id " + std::to_string(after));
+  // Forward, `it` is the next record to read; backward, the next record
+  // is the one before `it`. Either way the scan ends when `it` reaches
+  // `stop`.
+  auto it = forward ? directory_.upper_bound(from)
+                    : directory_.lower_bound(from);
+  const auto stop = forward ? directory_.end() : directory_.begin();
+  if (it == stop) {
+    return Status::OutOfRange(
+        (forward ? "no object after id " : "no object before id ") +
+        std::to_string(from));
   }
   spans->reserve(limit);
   PageHandle handle;
   PageId held = kNoPage;
-  for (; it != directory_.end() && spans->size() < limit; ++it) {
-    ChargeAccess(obs::AccessOp::kScan, it->first, it->second.page);
+  while (it != stop && spans->size() < limit) {
+    auto record = forward ? it++ : --it;
+    ChargeAccess(obs::AccessOp::kScan, record->first, record->second.page);
     size_t offset = arena->size();
-    ODE_ASSIGN_OR_RETURN(
-        size_t length,
-        AppendRecordLocked(it->first, it->second, &handle, &held, arena));
-    spans->push_back(RecordSpan{it->first, offset, length});
+    ODE_ASSIGN_OR_RETURN(size_t length,
+                         AppendRecordLocked(record->first, record->second,
+                                            &handle, &held, arena));
+    spans->push_back(RecordSpan{record->first, offset, length});
   }
-  // Read-ahead: warm the page the record after the batch lives on
-  // (limit-1 batches are point lookups; see NextRecords).
-  if (it != directory_.end() && it->second.page != held) {
-    pool_->ReadAhead(it->second.page, /*point_lookup=*/limit == 1);
+  // Read-ahead: warm the page the record after the batch lives on. A
+  // limit-1 batch is a point lookup, not a scan — the policy keeps
+  // those out of the prefetch queue.
+  if (it != stop) {
+    auto follow = forward ? it : std::prev(it);
+    if (follow->second.page != held) {
+      pool_->ReadAhead(follow->second.page, /*point_lookup=*/limit == 1);
+    }
   }
   HeapBatchRecords().Add(spans->size());
   if (auto* profile = obs::CurrentOpProfile()) {
     profile->ChargeHeapBatch(spans->size(), arena->size());
   }
   return Status::OK();
-}
-
-Result<std::vector<std::pair<uint64_t, std::string>>> HeapFile::PrevRecords(
-    uint64_t before, size_t limit) const {
-  ODE_TRACE_SPAN("heap.batch_read");
-  ReaderMutexLock lock(*mu_);
-  auto it = directory_.lower_bound(before);
-  if (it == directory_.begin()) {
-    return Status::OutOfRange("no object before id " +
-                              std::to_string(before));
-  }
-  std::vector<std::pair<uint64_t, std::string>> out;
-  out.reserve(limit);
-  PageHandle handle;
-  PageId held = kNoPage;
-  while (it != directory_.begin() && out.size() < limit) {
-    --it;
-    ChargeAccess(obs::AccessOp::kScan, it->first, it->second.page);
-    ODE_ASSIGN_OR_RETURN(
-        std::string payload,
-        ReadRecordLocked(it->first, it->second, &handle, &held));
-    out.emplace_back(it->first, std::move(payload));
-  }
-  if (it != directory_.begin()) {
-    auto follow = std::prev(it);
-    if (follow->second.page != held) {
-      pool_->ReadAhead(follow->second.page, /*point_lookup=*/limit == 1);
-    }
-  }
-  HeapBatchRecords().Add(out.size());
-  if (auto* profile = obs::CurrentOpProfile()) {
-    size_t bytes = 0;
-    for (const auto& [id, payload] : out) bytes += payload.size();
-    profile->ChargeHeapBatch(out.size(), bytes);
-  }
-  return out;
 }
 
 Result<std::vector<HeapFile::Placement>> HeapFile::RecordPlacements() const {

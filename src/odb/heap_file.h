@@ -6,7 +6,6 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "common/access_log.h"
@@ -50,7 +49,7 @@ class HeapFile {
   };
 
   /// One record's payload inside a caller-supplied arena (see
-  /// `NextRecordsInto`).
+  /// `RecordsInto`).
   struct RecordSpan {
     uint64_t local_id = 0;
     size_t offset = 0;
@@ -104,25 +103,18 @@ class HeapFile {
   Result<uint64_t> NextId(uint64_t after) const;
   Result<uint64_t> PrevId(uint64_t before) const;
 
-  /// Fused sequencing + fetch: up to `limit` (id, payload) pairs
-  /// following `after` (ascending) / preceding `before` (descending),
-  /// under a single lock round-trip. Consecutive records on one page
-  /// share a single pool fetch, so a batched scan costs a fraction of
-  /// the equivalent NextId/PrevId + Get sequence. Fails with
-  /// OutOfRange when no record exists past the bound.
-  Result<std::vector<std::pair<uint64_t, std::string>>> NextRecords(
-      uint64_t after, size_t limit) const;
-  Result<std::vector<std::pair<uint64_t, std::string>>> PrevRecords(
-      uint64_t before, size_t limit) const;
-
-  /// Allocation-free variant of `NextRecords` for the batched
-  /// executor: payloads are appended to `*arena` back to back and
-  /// described by spans, so a warm caller that reuses the arena pays
-  /// zero heap allocations per batch instead of one per record. Both
-  /// outputs are cleared first (capacity retained). Same OutOfRange
-  /// contract as `NextRecords`.
-  Status NextRecordsInto(uint64_t after, size_t limit, std::string* arena,
-                         std::vector<RecordSpan>* spans) const;
+  /// The batched read every scan goes through: up to `limit` records
+  /// following `from` (ascending when `forward`) or preceding it
+  /// (descending), under a single lock round-trip. Consecutive records
+  /// on one page share a single pool fetch, so a batch costs a fraction
+  /// of the equivalent NextId/PrevId + Get sequence. Payloads are
+  /// appended to `*arena` back to back and described by `*spans` in
+  /// scan order; both are cleared first (capacity retained), so a warm
+  /// caller that reuses them pays no allocation per record. Fails with
+  /// OutOfRange when no record exists past `from`.
+  Status RecordsInto(uint64_t from, bool forward, size_t limit,
+                     std::string* arena,
+                     std::vector<RecordSpan>* spans) const;
 
   /// All ids in ascending order (for tests and bulk operations).
   std::vector<uint64_t> AllIds() const;
@@ -178,16 +170,10 @@ class HeapFile {
       ODE_REQUIRES_SHARED(*mu_);
   Result<std::string> GetLocked(uint64_t local_id) const
       ODE_REQUIRES_SHARED(*mu_);
-  /// Reads one record, reusing `*handle` when the record lives on the
-  /// page already held (`*held`); releases the handle before chasing
-  /// an overflow chain so at most one page is latched at a time.
-  Result<std::string> ReadRecordLocked(uint64_t local_id,
-                                       const Location& loc,
-                                       PageHandle* handle,
-                                       PageId* held) const
-      ODE_REQUIRES_SHARED(*mu_);
-  /// `ReadRecordLocked` into an arena: appends the payload to `*arena`
-  /// and returns its length, avoiding a per-record string.
+  /// Appends one record's payload to `*arena` and returns its length,
+  /// reusing `*handle` when the record lives on the page already held
+  /// (`*held`); releases the handle before chasing an overflow chain so
+  /// at most one page is latched at a time.
   Result<size_t> AppendRecordLocked(uint64_t local_id, const Location& loc,
                                     PageHandle* handle, PageId* held,
                                     std::string* arena) const

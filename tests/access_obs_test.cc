@@ -435,12 +435,9 @@ TEST(AccessChargeTest, BatchedScansChargeScanEvents) {
             .ok());
   }
   log.Start();
-  ASSERT_TRUE(db->ClusterOf("person").ok());
-  Oid anchor{*db->ClusterOf("person"), 0};
-  Result<std::vector<ObjectBuffer>> batch =
-      session.NextObjectBuffers(anchor, 6);
-  ASSERT_TRUE(batch.ok());
-  EXPECT_EQ(batch->size(), 6u);
+  odb::RawRecordBatch batch;
+  ASSERT_TRUE(db->ScanRawRecords("person", 0, 6, &batch).ok());
+  EXPECT_EQ(batch.records.size(), 6u);
   AccessProfile profile = log.SnapshotProfile();
   bool found = false;
   for (const ClassHeat& heat : profile.classes) {
@@ -487,8 +484,10 @@ TEST(AccessReplayTest, ReplayReproducesClassCountsAndPageHeat) {
       }
     }
     // One batched scan over the cluster.
-    Oid anchor{*db->ClusterOf("person"), 0};
-    ASSERT_TRUE(session.NextObjectBuffers(anchor, people.size()).ok());
+    odb::RawRecordBatch batch;
+    ASSERT_TRUE(
+        db->ScanRawRecords("person", 0, people.size(), &batch).ok());
+    EXPECT_EQ(batch.records.size(), people.size());
   }
   Result<uint64_t> written = log.StopCapture();
   ASSERT_TRUE(written.ok());

@@ -657,6 +657,61 @@ TEST(LockRankBatteryTest, EngineWorkloadProducesNoRankViolations) {
 
 // --- Batched executor under concurrency --------------------------------
 
+/// A database holding 500 `Item`s whose `n` is non-negative.
+std::unique_ptr<Database> ItemDb(std::string name) {
+  auto db_or = Database::CreateInMemory(std::move(name));
+  EXPECT_TRUE(db_or.ok()) << db_or.status().ToString();
+  std::unique_ptr<Database> db = std::move(*db_or);
+  EXPECT_TRUE(
+      db->DefineSchema("persistent class Item { int n; string tag; };").ok());
+  Session session = db->OpenSession();
+  for (int i = 0; i < 500; ++i) {
+    EXPECT_TRUE(
+        session
+            .CreateObject("Item",
+                          Value::Struct({{"n", Value::Int(i)},
+                                         {"tag", Value::String(
+                                                     PayloadFor(i))}}))
+            .ok());
+  }
+  return db;
+}
+
+/// One writer: creates, updates and deletes `Item`s until `stop`.
+/// Updates write a negative `n`, which no `n >= 0` reader may return.
+void MutateItemsUntil(Database* db, uint64_t seed,
+                      const std::atomic<bool>& stop) {
+  Session session = db->OpenSession();
+  Rng rng(seed);
+  std::vector<Oid> mine;
+  for (uint64_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+    switch (rng.Below(3)) {
+      case 0: {
+        auto oid = session.CreateObject(
+            "Item", Value::Struct({{"n", Value::Int(static_cast<int64_t>(i))},
+                                   {"tag", Value::String(PayloadFor(i))}}));
+        if (oid.ok()) mine.push_back(*oid);
+        break;
+      }
+      case 1:
+        if (!mine.empty()) {
+          (void)session.UpdateObject(
+              mine[rng.Below(mine.size())],
+              Value::Struct({{"n", Value::Int(-1 - static_cast<int64_t>(i))},
+                             {"tag", Value::String("updated")}}));
+        }
+        break;
+      default:
+        if (!mine.empty()) {
+          size_t at = rng.Below(mine.size());
+          (void)session.DeleteObject(mine[at]);
+          mine.erase(mine.begin() + static_cast<ptrdiff_t>(at));
+        }
+        break;
+    }
+  }
+}
+
 // Parallel partitioned scans race against writers creating, updating,
 // and deleting objects in the scanned cluster. Outcomes depend on the
 // interleaving, so the assertions check invariants instead of counts:
@@ -668,23 +723,8 @@ TEST(ExecConcurrencyTest, ParallelScansDuringMutationsStayConsistent) {
   LockRankValidator::SetMode(LockRankValidator::Mode::kCount);
   const uint64_t before = LockRankValidator::violations();
 
-  auto db_or = Database::CreateInMemory("execdb");
-  ASSERT_TRUE(db_or.ok()) << db_or.status().ToString();
-  Database* db = db_or->get();
-  ASSERT_TRUE(
-      db->DefineSchema("persistent class Item { int n; string tag; };").ok());
-  {
-    Session session = db->OpenSession();
-    for (int i = 0; i < 500; ++i) {
-      ASSERT_TRUE(session
-                      .CreateObject("Item",
-                                    Value::Struct(
-                                        {{"n", Value::Int(i)},
-                                         {"tag", Value::String(
-                                                     PayloadFor(i))}}))
-                      .ok());
-    }
-  }
+  std::unique_ptr<Database> owned = ItemDb("execdb");
+  Database* db = owned.get();
 
   auto predicate_or = ParsePredicate("n >= 0");
   ASSERT_TRUE(predicate_or.ok());
@@ -694,38 +734,7 @@ TEST(ExecConcurrencyTest, ParallelScansDuringMutationsStayConsistent) {
   std::vector<std::thread> writers;
   for (int t = 0; t < 2; ++t) {
     writers.emplace_back([db, t, &stop] {
-      Session session = db->OpenSession();
-      Rng rng(static_cast<uint64_t>(t) + 4242);
-      std::vector<Oid> mine;
-      for (uint64_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
-        switch (rng.Below(3)) {
-          case 0: {
-            auto oid = session.CreateObject(
-                "Item",
-                Value::Struct({{"n", Value::Int(static_cast<int64_t>(i))},
-                               {"tag", Value::String(PayloadFor(i))}}));
-            if (oid.ok()) mine.push_back(*oid);
-            break;
-          }
-          case 1:
-            if (!mine.empty()) {
-              // Non-matching value: a scan must never return it.
-              (void)session.UpdateObject(
-                  mine[rng.Below(mine.size())],
-                  Value::Struct(
-                      {{"n", Value::Int(-1 - static_cast<int64_t>(i))},
-                       {"tag", Value::String("updated")}}));
-            }
-            break;
-          default:
-            if (!mine.empty()) {
-              size_t at = rng.Below(mine.size());
-              (void)session.DeleteObject(mine[at]);
-              mine.erase(mine.begin() + static_cast<ptrdiff_t>(at));
-            }
-            break;
-        }
-      }
+      MutateItemsUntil(db, static_cast<uint64_t>(t) + 4242, stop);
     });
   }
 
@@ -761,6 +770,73 @@ TEST(ExecConcurrencyTest, ParallelScansDuringMutationsStayConsistent) {
 
   EXPECT_EQ(LockRankValidator::violations(), before)
       << "parallel partitioned scans broke the documented lock order";
+}
+
+// Object-set cursors step through the cluster while writers mutate it.
+// Each cursor reverses direction every 97 steps and at either end. The
+// assertions check invariants: every step moves strictly past the
+// previous object in its direction, every buffer a filtered cursor
+// returns satisfies the predicate on its own value (updates write
+// non-matching values, so a buffer decoded from other bytes than the
+// ones tested would surface here), and the documented lock order holds.
+TEST(CursorConcurrencyTest, ReversingCursorsDuringMutationsStayConsistent) {
+  LockRankValidator::SetMode(LockRankValidator::Mode::kCount);
+  const uint64_t before = LockRankValidator::violations();
+  std::unique_ptr<Database> owned = ItemDb("cursordb");
+  Database* db = owned.get();
+  const Predicate predicate = *ParsePredicate("n >= 0");
+
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> writers;
+  for (int t = 0; t < 2; ++t) {
+    writers.emplace_back([db, t, &stop] {
+      MutateItemsUntil(db, static_cast<uint64_t>(t) + 777, stop);
+    });
+  }
+
+  std::vector<std::thread> cursors;
+  for (int t = 0; t < 4; ++t) {
+    cursors.emplace_back([db, t, &predicate] {
+      const bool filtered = t % 2 == 0;
+      ObjectCursor cursor = filtered ? ObjectCursor(db, "Item", predicate)
+                                     : ObjectCursor(db, "Item");
+      bool forward = true;
+      int run = 0;
+      Oid last = Oid::Null();
+      for (int step = 0; step < 1500; ++step) {
+        Result<ObjectBuffer> buffer = forward ? cursor.Next() : cursor.Prev();
+        if (!buffer.ok()) {
+          ASSERT_TRUE(buffer.status().IsOutOfRange())
+              << buffer.status().ToString();
+          forward = !forward;
+          run = 0;
+          continue;
+        }
+        if (!last.IsNull()) {
+          EXPECT_TRUE(forward ? last < buffer->oid : buffer->oid < last)
+              << last.ToString() << " then " << buffer->oid.ToString();
+        }
+        last = buffer->oid;
+        if (filtered) {
+          const Value* n = buffer->value.FindField("n");
+          ASSERT_NE(n, nullptr);
+          EXPECT_GE(n->AsInt(), 0);
+        }
+        if (++run == 97) {
+          forward = !forward;
+          run = 0;
+        }
+      }
+      EXPECT_EQ(LockRankValidator::HeldCount(), 0u);
+    });
+  }
+
+  for (std::thread& c : cursors) c.join();
+  stop.store(true, std::memory_order_relaxed);
+  for (std::thread& w : writers) w.join();
+
+  EXPECT_EQ(LockRankValidator::violations(), before)
+      << "stepping cursors broke the documented lock order";
 }
 
 // --- WAL: group commit, checkpoints, and eviction under fire -----------

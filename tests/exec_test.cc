@@ -267,6 +267,112 @@ TEST_F(ExecSuite, UnknownClassIsAnError) {
   EXPECT_FALSE(exec::ExecuteScan(db_.get(), spec).ok());
 }
 
+// --- cursor equivalence -----------------------------------------------------
+
+// The object-set window's cursor filters the way Select does. Walking
+// it forward yields exactly the reference ids, each buffer equal to
+// GetObject's; walking back from the last match revisits the others in
+// reverse. The lab has 55 employees, so every walk crosses the cursor's
+// 16-record batches.
+TEST_F(ExecSuite, CursorMatchesSelectInBothDirections) {
+  for (const char* text : kScanPredicates) {
+    Predicate predicate = *ParsePredicate(text);
+    Result<std::vector<Oid>> expected =
+        ReferenceSelect("employee", predicate);
+    ASSERT_TRUE(expected.ok()) << text;
+    ObjectCursor cursor(db_.get(), "employee", predicate);
+    std::vector<Oid> forward;
+    while (true) {
+      Result<ObjectBuffer> buffer = cursor.Next();
+      if (!buffer.ok()) {
+        EXPECT_TRUE(buffer.status().IsOutOfRange())
+            << text << ": " << buffer.status().ToString();
+        break;
+      }
+      ObjectBuffer reference = *db_->GetObject(buffer->oid);
+      EXPECT_EQ(buffer->value, reference.value) << text;
+      EXPECT_EQ(buffer->version, reference.version) << text;
+      EXPECT_EQ(buffer->class_name, reference.class_name) << text;
+      forward.push_back(buffer->oid);
+    }
+    EXPECT_EQ(forward, *expected) << text;
+
+    std::vector<Oid> backward;
+    while (true) {
+      Result<ObjectBuffer> buffer = cursor.Prev();
+      if (!buffer.ok()) {
+        EXPECT_TRUE(buffer.status().IsOutOfRange())
+            << text << ": " << buffer.status().ToString();
+        break;
+      }
+      backward.push_back(buffer->oid);
+    }
+    std::vector<Oid> reversed(expected->rbegin(), expected->rend());
+    if (!reversed.empty()) reversed.erase(reversed.begin());
+    EXPECT_EQ(backward, reversed) << text;
+  }
+
+  Predicate mismatch = *ParsePredicate("name > 3");
+  ObjectCursor cursor(db_.get(), "employee", mismatch);
+  Result<ObjectBuffer> next = cursor.Next();
+  EXPECT_FALSE(next.ok());
+  EXPECT_FALSE(next.status().IsOutOfRange()) << next.status().ToString();
+  Result<ObjectBuffer> prev = cursor.Prev();
+  EXPECT_FALSE(prev.ok());
+  EXPECT_FALSE(prev.status().IsOutOfRange()) << prev.status().ToString();
+}
+
+// Before every step, the record just ahead of the cursor changes —
+// whether it matches flips, it is deleted, or a matching record joins
+// the tail — so the lookahead fetched by the previous step is stale.
+// Each step must still yield what a fresh select past the current
+// position would.
+TEST_F(ExecSuite, CursorLookaheadFollowsMutations) {
+  Predicate predicate = *ParsePredicate("age > 40");
+  ObjectCursor cursor(db_.get(), "employee", predicate);
+  ASSERT_TRUE(cursor.Next().ok());
+  for (int step = 0; step < 60; ++step) {
+    Oid at = *cursor.Current();
+    Result<Oid> ahead = db_->NextObject(at);
+    switch (step % 3) {
+      case 0:
+        if (ahead.ok()) {
+          ObjectBuffer buffer = *db_->GetObject(*ahead);
+          Value* age = buffer.value.FindMutableField("age");
+          *age = Value::Int(age->AsInt() > 40 ? 30 : 50);
+          ASSERT_TRUE(db_->UpdateObject(*ahead, buffer.value).ok());
+        }
+        break;
+      case 1:
+        if (ahead.ok()) {
+          ASSERT_TRUE(db_->DeleteObject(*ahead).ok());
+        }
+        break;
+      default: {
+        ObjectBuffer model = *db_->GetObject(at);
+        *model.value.FindMutableField("age") = Value::Int(45);
+        ASSERT_TRUE(db_->CreateObject("employee", model.value).ok());
+        break;
+      }
+    }
+    std::vector<Oid> reference = *ReferenceSelect("employee", predicate);
+    auto expected = std::upper_bound(reference.begin(), reference.end(), at);
+    Result<ObjectBuffer> got = cursor.Next();
+    if (expected == reference.end()) {
+      EXPECT_TRUE(got.status().IsOutOfRange()) << "step " << step;
+      EXPECT_EQ(*cursor.Current(), at) << "step " << step;
+    } else {
+      ASSERT_TRUE(got.ok()) << "step " << step << ": "
+                            << got.status().ToString();
+      EXPECT_EQ(got->oid, *expected)
+          << "step " << step << ": got " << got->oid.ToString()
+          << ", expected " << expected->ToString();
+      EXPECT_EQ(got->value, db_->GetObject(got->oid)->value)
+          << "step " << step;
+    }
+  }
+}
+
 // --- join equivalence -------------------------------------------------------
 
 struct JoinCase {

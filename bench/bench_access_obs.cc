@@ -11,7 +11,7 @@
 //   BM_ChaseRecorderSampled — recorder on at 1-in-16 sampling, the
 //     always-on production posture.
 //   BM_ChaseRecorderFull — recorder on unsampled: every access pays
-//     the ring append + heat-table CAS. CI gates Full : Off at 1.5x.
+//     the heat-table CAS. CI gates Full : Off at 1.5x.
 // Plus the scrape side: BM_HeatmapRender / BM_ProfileSnapshot against
 // a populated recorder.
 
@@ -110,7 +110,6 @@ void BM_ChaseRecorderFull(benchmark::State& state) {
     RunChase(db_session, oids);
   }
   state.counters["recorded"] = static_cast<double>(log.recorded());
-  state.counters["overwritten"] = static_cast<double>(log.overwritten());
   log.Stop();
 }
 BENCHMARK(BM_ChaseRecorderFull);

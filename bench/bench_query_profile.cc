@@ -47,7 +47,7 @@ void BM_SelectProfilingOn(benchmark::State& state) {
   LabSession session = LabSession::Create(BenchConfig());
   odb::Predicate predicate = AgePredicate();
   obs::OpProfile profile;
-  obs::OpProfileScope scope(&profile);
+  obs::OpContextScope scope(obs::OpContext{.profile = &profile});
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         ValueOrDie(session.db->Select("employee", predicate), "select"));
@@ -84,7 +84,7 @@ void BM_GetObjectProfilingOn(benchmark::State& state) {
   odb::Oid first =
       ValueOrDie(session.db->FirstObject("employee"), "first");
   obs::OpProfile profile;
-  obs::OpProfileScope scope(&profile);
+  obs::OpContextScope scope(obs::OpContext{.profile = &profile});
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         ValueOrDie(session.db->GetObject(first), "get"));
@@ -114,7 +114,7 @@ void BM_ParallelScanProfilingOn(benchmark::State& state) {
   spec.predicate = &predicate;
   spec.parallelism = 4;
   obs::OpProfile profile;
-  obs::OpProfileScope scope(&profile);
+  obs::OpContextScope scope(obs::OpContext{.profile = &profile});
   for (auto _ : state) {
     benchmark::DoNotOptimize(ValueOrDie(
         odb::exec::ExecuteScan(session.db.get(), spec), "scan"));

@@ -1,7 +1,6 @@
 #include "common/access_log.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <sstream>
@@ -9,7 +8,7 @@
 #include "common/coding.h"
 #include "common/journal.h"
 #include "common/metrics.h"
-#include "common/op_profile.h"
+#include "common/strings.h"
 #include "common/trace.h"
 
 namespace ode::obs {
@@ -32,10 +31,6 @@ Counter* DroppedCounter() {
   static Counter* c = Registry::Global().counter("obs.access.dropped");
   return c;
 }
-Counter* OverwrittenCounter() {
-  static Counter* c = Registry::Global().counter("obs.access.overwritten");
-  return c;
-}
 
 /// Mixes a page/class key into a table probe start (splitmix-style).
 uint64_t HashKey(uint64_t key) {
@@ -50,22 +45,6 @@ uint64_t HashAffinity(uint64_t src_cluster, uint64_t src_local,
   uint64_t h = HashKey((src_cluster << 40) ^ src_local);
   h ^= HashKey((dst_cluster << 40) ^ dst_local) * 0x9e3779b97f4a7c15ull;
   return h;
-}
-
-void AppendJsonEscapedLabel(std::string* out, const char* s) {
-  for (; *s != '\0'; ++s) {
-    char c = *s;
-    if (c == '"' || c == '\\') {
-      *out += '\\';
-      *out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      *out += buf;
-    } else {
-      *out += c;
-    }
-  }
 }
 
 }  // namespace
@@ -289,11 +268,7 @@ Result<AccessTrace> ParseAccessTrace(std::string_view bytes) {
 
 // --- AccessLog ---------------------------------------------------------
 
-AccessLog::AccessLog(size_t ring_capacity) {
-  if (ring_capacity < 8) ring_capacity = 8;
-  ring_capacity_ = std::bit_ceil(ring_capacity);
-  ring_mask_ = ring_capacity_ - 1;
-  ring_ = std::make_unique<RingSlot[]>(ring_capacity_);
+AccessLog::AccessLog() {
   pages_ = std::make_unique<PageSlot[]>(kPageTableCapacity);
   classes_ = std::make_unique<ClassSlot[]>(kClassTableCapacity);
   affinity_ = std::make_unique<AffinitySlot[]>(kAffinityTableCapacity);
@@ -313,7 +288,6 @@ AccessLog& AccessLog::Global() {
 void AccessLog::Start(uint32_t sample_period) {
   if (sample_period == 0) sample_period = 1;
   sample_period_.store(sample_period, std::memory_order_relaxed);
-  overflow_journaled_.store(false, std::memory_order_relaxed);
   enabled_.store(true, std::memory_order_relaxed);
   Journal::Global().Append(JournalEvent::kAccessRecorderStart,
                            static_cast<int64_t>(sample_period));
@@ -353,46 +327,6 @@ bool AccessLog::SampledOut() {
 void AccessLog::CountDrop(uint64_t n) {
   dropped_.fetch_add(n, std::memory_order_relaxed);
   DroppedCounter()->Add(n);
-}
-
-void AccessLog::NoteOverwrite() {
-  overwritten_.fetch_add(1, std::memory_order_relaxed);
-  OverwrittenCounter()->Increment();
-  // Journal the first overflow after each Start: one record tells the
-  // post-mortem the ring wrapped without flooding it every event.
-  if (!overflow_journaled_.exchange(true, std::memory_order_relaxed)) {
-    Journal::Global().Append(JournalEvent::kAccessRingOverflow,
-                             static_cast<int64_t>(ring_capacity_));
-  }
-}
-
-void AccessLog::AppendToRing(const AccessEvent& event) {
-  uint64_t seq = next_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-  RingSlot& slot = ring_[seq & ring_mask_];
-  uint64_t current = slot.commit.load(std::memory_order_relaxed);
-  while (true) {
-    if (current == kBusy || current > seq) {
-      CountDrop();
-      return;
-    }
-    if (slot.commit.compare_exchange_weak(current, kBusy,
-                                          std::memory_order_acq_rel,
-                                          std::memory_order_relaxed)) {
-      break;
-    }
-  }
-  if (current != 0) NoteOverwrite();
-  slot.ts_ns.store(event.ts_ns, std::memory_order_relaxed);
-  slot.op.store(static_cast<uint8_t>(event.op), std::memory_order_relaxed);
-  slot.cluster.store(event.cluster, std::memory_order_relaxed);
-  slot.local.store(event.local, std::memory_order_relaxed);
-  slot.page.store(event.page, std::memory_order_relaxed);
-  slot.class_label.store(event.class_label, std::memory_order_relaxed);
-  slot.session_id.store(event.session_id, std::memory_order_relaxed);
-  slot.trace_id.store(event.trace_id, std::memory_order_relaxed);
-  slot.commit.store(seq, std::memory_order_release);
-  recorded_.fetch_add(1, std::memory_order_relaxed);
-  RecordedCounter()->Increment();
 }
 
 void AccessLog::BumpPageHeat(uint64_t page, bool object_access) {
@@ -445,6 +379,11 @@ void AccessLog::Record(AccessOp op, uint64_t cluster, uint64_t local,
                        const char* class_label, uint64_t page) {
   if (!enabled()) return;
   if (SampledOut()) return;
+  recorded_.fetch_add(1, std::memory_order_relaxed);
+  RecordedCounter()->Increment();
+  BumpPageHeat(page, /*object_access=*/true);
+  BumpClassHeat(class_label, op);
+  if (!capturing_.load(std::memory_order_acquire)) return;
   AccessEvent event;
   event.ts_ns = Tracing::NowNanos();
   event.op = op;
@@ -452,15 +391,11 @@ void AccessLog::Record(AccessOp op, uint64_t cluster, uint64_t local,
   event.local = local;
   event.page = page;
   event.class_label = class_label;
-  event.session_id = CurrentSessionId();
-  event.trace_id = CurrentTraceContext().trace_id;
-  AppendToRing(event);
-  BumpPageHeat(page, /*object_access=*/true);
-  BumpClassHeat(class_label, op);
-  if (capturing_.load(std::memory_order_acquire)) {
-    MutexLock lock(capture_mu_);
-    if (capture_.is_open()) capture_.WriteEvent(event);
-  }
+  OpContext ctx = CurrentOpContext();
+  event.session_id = ctx.session_id;
+  event.trace_id = ctx.trace_id;
+  MutexLock lock(capture_mu_);
+  if (capture_.is_open()) capture_.WriteEvent(event);
 }
 
 void AccessLog::RecordPageTouch(uint64_t page) {
@@ -512,33 +447,6 @@ void AccessLog::RecordAffinity(uint64_t src_cluster, uint64_t src_local,
                              dst_cluster, dst_local, dst_class);
     }
   }
-}
-
-bool AccessLog::ReadRingSlot(uint64_t seq, AccessEvent* out) const {
-  const RingSlot& slot = ring_[seq & ring_mask_];
-  if (slot.commit.load(std::memory_order_acquire) != seq) return false;
-  out->seq = seq;
-  out->ts_ns = slot.ts_ns.load(std::memory_order_relaxed);
-  out->op = static_cast<AccessOp>(slot.op.load(std::memory_order_relaxed));
-  out->cluster = slot.cluster.load(std::memory_order_relaxed);
-  out->local = slot.local.load(std::memory_order_relaxed);
-  out->page = slot.page.load(std::memory_order_relaxed);
-  out->class_label = slot.class_label.load(std::memory_order_relaxed);
-  out->session_id = slot.session_id.load(std::memory_order_relaxed);
-  out->trace_id = slot.trace_id.load(std::memory_order_relaxed);
-  return slot.commit.load(std::memory_order_acquire) == seq;
-}
-
-std::vector<AccessEvent> AccessLog::SnapshotRing() const {
-  uint64_t newest = next_seq_.load(std::memory_order_acquire);
-  uint64_t oldest = newest > ring_capacity_ ? newest - ring_capacity_ + 1 : 1;
-  std::vector<AccessEvent> out;
-  out.reserve(newest >= oldest ? newest - oldest + 1 : 0);
-  for (uint64_t seq = oldest; seq <= newest; ++seq) {
-    AccessEvent event;
-    if (ReadRingSlot(seq, &event)) out.push_back(event);
-  }
-  return out;
 }
 
 AccessProfile AccessLog::SnapshotProfile(size_t top_pages,
@@ -623,11 +531,9 @@ std::string AccessLog::RenderHeatmapJson(size_t top_n) const {
   out += ",\"sample_period\":" + std::to_string(sample_period());
   out += ",\"capturing\":";
   out += capturing() ? "true" : "false";
-  out += ",\"ring\":{\"capacity\":" + std::to_string(ring_capacity_);
   out += ",\"recorded\":" + std::to_string(recorded());
   out += ",\"dropped\":" + std::to_string(dropped());
-  out += ",\"overwritten\":" + std::to_string(overwritten());
-  out += "},\"pages\":[";
+  out += ",\"pages\":[";
   bool first = true;
   for (const PageHeat& heat : profile.pages) {
     if (!first) out += ",";
@@ -642,7 +548,7 @@ std::string AccessLog::RenderHeatmapJson(size_t top_n) const {
     if (!first) out += ",";
     first = false;
     out += "{\"class\":\"";
-    AppendJsonEscapedLabel(&out, heat.class_label);
+    AppendJsonEscaped(&out, heat.class_label);
     out += "\",\"total\":" + std::to_string(heat.total);
     for (size_t op = 0; op < kAccessOpCount; ++op) {
       out += ",\"";
@@ -661,9 +567,9 @@ std::string AccessLog::RenderHeatmapJson(size_t top_n) const {
     out += ",\"dst\":\"c" + std::to_string(edge.dst_cluster) + ":o" +
            std::to_string(edge.dst_local) + "\"";
     out += ",\"src_class\":\"";
-    if (edge.src_class != nullptr) AppendJsonEscapedLabel(&out, edge.src_class);
+    if (edge.src_class != nullptr) AppendJsonEscaped(&out, edge.src_class);
     out += "\",\"dst_class\":\"";
-    if (edge.dst_class != nullptr) AppendJsonEscapedLabel(&out, edge.dst_class);
+    if (edge.dst_class != nullptr) AppendJsonEscaped(&out, edge.dst_class);
     out += "\",\"count\":" + std::to_string(edge.count) + "}";
   }
   out += "]}\n";
@@ -676,7 +582,7 @@ std::string AccessLog::RenderHeatmapText(size_t top_n) const {
   os << "-- access heat map (recorder "
      << (enabled() ? "on" : "off") << ", 1/" << sample_period()
      << " sampling; " << recorded() << " recorded, " << dropped()
-     << " dropped, " << overwritten() << " overwritten) --\n";
+     << " dropped) --\n";
   os << "classes:\n";
   for (const ClassHeat& heat : profile.classes) {
     os << "  " << heat.class_label << ": " << heat.total;
@@ -711,9 +617,6 @@ void AccessLog::ResetForTest() {
     capturing_.store(false, std::memory_order_relaxed);
     if (capture_.is_open()) (void)capture_.Close();
   }
-  for (size_t i = 0; i < ring_capacity_; ++i) {
-    ring_[i].commit.store(0, std::memory_order_relaxed);
-  }
   for (size_t i = 0; i < kPageTableCapacity; ++i) {
     pages_[i].key.store(0, std::memory_order_relaxed);
     pages_[i].object_accesses.store(0, std::memory_order_relaxed);
@@ -732,11 +635,8 @@ void AccessLog::ResetForTest() {
   }
   sample_period_.store(1, std::memory_order_relaxed);
   sample_tick_.store(0, std::memory_order_relaxed);
-  next_seq_.store(0, std::memory_order_relaxed);
   recorded_.store(0, std::memory_order_relaxed);
   dropped_.store(0, std::memory_order_relaxed);
-  overwritten_.store(0, std::memory_order_relaxed);
-  overflow_journaled_.store(false, std::memory_order_relaxed);
 }
 
 }  // namespace ode::obs

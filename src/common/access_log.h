@@ -38,7 +38,6 @@ const char* AccessOpName(AccessOp op);
 /// heap page, what happened, and who did it. `class_label` has static
 /// storage duration (interned — the same contract as journal details).
 struct AccessEvent {
-  uint64_t seq = 0;    ///< 1-based recorder sequence number
   uint64_t ts_ns = 0;  ///< Tracing::NowNanos() time base
   AccessOp op = AccessOp::kGet;
   uint64_t cluster = 0;  ///< Oid cluster part (class extent)
@@ -165,28 +164,26 @@ Result<AccessTrace> ParseAccessTrace(std::string_view bytes);
 /// The process-wide sampled access recorder.
 ///
 /// Producers (heap reads, pool fetches, cascade resolution, join row
-/// flow) record with a handful of atomics and never block: events go
-/// into a Journal-style lock-free MPSC overwrite ring, and heat is
+/// flow) record with a handful of atomics and never block: heat is
 /// aggregated inline into fixed-size open-addressing tables whose
-/// slots are claimed by compare-and-swap. When capture is active,
-/// recording additionally serializes the event into a buffered trace
-/// file under `capture_mu_` (rank `kAccessCapture` — recording *on*
-/// is a tracing mode and may pay a short mutex; recording *off* costs
-/// one relaxed load per charge site).
+/// slots are claimed by compare-and-swap. Individual events are kept
+/// only by capture: when it is active, recording also serializes each
+/// event into a buffered trace file under `capture_mu_` (rank
+/// `kAccessCapture` — recording *on* is a tracing mode and may pay a
+/// short mutex; recording *off* costs one relaxed load per charge
+/// site).
 ///
-/// Loss accounting: `dropped()` counts ring slot-claim races plus heat
-/// table overflow (a table ran out of slots — the heat map is then a
-/// floor, not a census); `overwritten()` counts ring records replaced
-/// by newer generations. Both surface as `obs.access.*` counters and
-/// in the `/heatmap` JSON.
+/// Loss accounting: `dropped()` counts heat table overflow (a table ran
+/// out of slots — the heat map is then a floor, not a census). It
+/// surfaces as the `obs.access.dropped` counter and in the `/heatmap`
+/// JSON.
 class AccessLog {
  public:
-  static constexpr size_t kDefaultRingCapacity = 16384;
   static constexpr size_t kPageTableCapacity = 4096;
   static constexpr size_t kClassTableCapacity = 256;
   static constexpr size_t kAffinityTableCapacity = 4096;
 
-  explicit AccessLog(size_t ring_capacity = kDefaultRingCapacity);
+  AccessLog();
   ~AccessLog();
   AccessLog(const AccessLog&) = delete;
   AccessLog& operator=(const AccessLog&) = delete;
@@ -229,52 +226,30 @@ class AccessLog {
                       uint64_t dst_local, const char* dst_class);
 
   // --- Accounting ------------------------------------------------------
-  /// Events recorded into the ring (sampled-in, not dropped).
+  /// Object-access events recorded (sampled in).
   uint64_t recorded() const {
     return recorded_.load(std::memory_order_relaxed);
   }
-  /// Ring claim races + heat/affinity table overflow.
+  /// Heat/affinity table overflow.
   uint64_t dropped() const { return dropped_.load(std::memory_order_relaxed); }
-  /// Ring records overwritten by newer generations.
-  uint64_t overwritten() const {
-    return overwritten_.load(std::memory_order_relaxed);
-  }
-  size_t ring_capacity() const { return ring_capacity_; }
 
   // --- Reads -----------------------------------------------------------
-  /// The retained ring tail, oldest first (consistent snapshot; slots
-  /// being overwritten mid-read are skipped).
-  std::vector<AccessEvent> SnapshotRing() const;
-
   /// Aggregated heat + affinity. `top_pages` / `top_edges` bound the
   /// vectors (0 = everything), hottest first.
   AccessProfile SnapshotProfile(size_t top_pages = 0,
                                 size_t top_edges = 0) const;
 
   /// The `/heatmap` document: page heat, class heat, top-N affinity
-  /// edges, ring/loss accounting, recorder state.
+  /// edges, event/loss accounting, recorder state.
   std::string RenderHeatmapJson(size_t top_n = 32) const;
   /// Human-readable heat map for the shell.
   std::string RenderHeatmapText(size_t top_n = 16) const;
 
-  /// Clears everything (ring, tables, counters) and disables the
+  /// Clears everything (tables, counters) and disables the
   /// recorder. Callers must be quiesced — test-only.
   void ResetForTest();
 
  private:
-  /// Journal-style ring slot; `commit` is 0 = empty, kBusy = being
-  /// written, else the committed sequence number.
-  struct RingSlot {
-    std::atomic<uint64_t> commit{0};
-    std::atomic<uint64_t> ts_ns{0};
-    std::atomic<uint8_t> op{0};
-    std::atomic<uint64_t> cluster{0};
-    std::atomic<uint64_t> local{0};
-    std::atomic<uint64_t> page{0};
-    std::atomic<const char*> class_label{nullptr};
-    std::atomic<uint64_t> session_id{0};
-    std::atomic<uint64_t> trace_id{0};
-  };
   /// Open-addressing heat slot keyed by page+1 (0 = empty).
   struct PageSlot {
     std::atomic<uint64_t> key{0};
@@ -298,20 +273,11 @@ class AccessLog {
     std::atomic<uint64_t> count{0};
   };
 
-  static constexpr uint64_t kBusy = ~uint64_t{0};
-
   bool SampledOut();
-  void AppendToRing(const AccessEvent& event);
   void BumpPageHeat(uint64_t page, bool object_access);
   void BumpClassHeat(const char* label, AccessOp op);
-  bool ReadRingSlot(uint64_t seq, AccessEvent* out) const;
   void CountDrop(uint64_t n = 1);
-  /// First ring overflow after each Start is journaled (rate limit).
-  void NoteOverwrite();
 
-  size_t ring_capacity_ = 0;
-  uint64_t ring_mask_ = 0;
-  std::unique_ptr<RingSlot[]> ring_;
   std::unique_ptr<PageSlot[]> pages_;
   std::unique_ptr<ClassSlot[]> classes_;
   std::unique_ptr<AffinitySlot[]> affinity_;
@@ -319,11 +285,8 @@ class AccessLog {
   std::atomic<bool> enabled_{false};
   std::atomic<uint32_t> sample_period_{1};
   std::atomic<uint64_t> sample_tick_{0};
-  std::atomic<uint64_t> next_seq_{0};
   std::atomic<uint64_t> recorded_{0};
   std::atomic<uint64_t> dropped_{0};
-  std::atomic<uint64_t> overwritten_{0};
-  std::atomic<bool> overflow_journaled_{false};
 
   /// `capturing_` is the producers' cheap gate; the writer itself is
   /// guarded by `capture_mu_` (rank kAccessCapture, 185 — above every

@@ -8,43 +8,11 @@
 #include <unordered_set>
 
 #include "common/metrics.h"
+#include "common/strings.h"
 #include "common/threading.h"
 #include "common/trace.h"
 
 namespace ode::obs {
-
-namespace {
-
-/// JSON string escaping for detail labels (class names etc.).
-void AppendJsonEscaped(std::string* out, const char* s) {
-  for (; *s != '\0'; ++s) {
-    char c = *s;
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          *out += c;
-        }
-    }
-  }
-}
-
-}  // namespace
 
 const char* JournalEventName(JournalEvent type) {
   switch (type) {
@@ -86,8 +54,6 @@ const char* JournalEventName(JournalEvent type) {
       return "access_recorder_start";
     case JournalEvent::kAccessRecorderStop:
       return "access_recorder_stop";
-    case JournalEvent::kAccessRingOverflow:
-      return "access_ring_overflow";
     case JournalEvent::kReclusterStart:
       return "recluster_start";
     case JournalEvent::kReclusterEnd:

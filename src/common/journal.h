@@ -34,7 +34,6 @@ enum class JournalEvent : uint32_t {
                            ///< detail = op name
   kAccessRecorderStart = 17,  ///< arg0 = sample period
   kAccessRecorderStop = 18,   ///< arg0 = events recorded so far
-  kAccessRingOverflow = 19,   ///< arg0 = ring capacity (first wrap only)
   kReclusterStart = 20,       ///< arg0 = planned moves, detail = class
   kReclusterEnd = 21,         ///< arg0 = moves applied, arg1 = 0 ok /
                               ///< 1 failed, detail = class

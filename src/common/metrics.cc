@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdio>
 #include <sstream>
 
 #include "common/logging.h"
+#include "common/strings.h"
 
 namespace ode::obs {
 
@@ -57,37 +57,6 @@ std::string EscapePrometheusLabel(const std::string& value) {
       out += "\\n";
     } else {
       out += c;
-    }
-  }
-  return out;
-}
-
-/// JSON string escaping for metric names (which may carry class names).
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
     }
   }
   return out;
@@ -502,21 +471,23 @@ std::string Registry::RenderJson() const {
   std::ostringstream counters, gauges, histograms;
   bool first_c = true, first_g = true, first_h = true;
   for (const MetricSample& s : Snapshot()) {
+    std::string name;
+    AppendJsonEscaped(&name, s.name);
     switch (s.kind) {
       case MetricSample::Kind::kCounter:
         if (!first_c) counters << ",";
         first_c = false;
-        counters << "\"" << JsonEscape(s.name) << "\":" << s.value;
+        counters << "\"" << name << "\":" << s.value;
         break;
       case MetricSample::Kind::kGauge:
         if (!first_g) gauges << ",";
         first_g = false;
-        gauges << "\"" << JsonEscape(s.name) << "\":" << s.value;
+        gauges << "\"" << name << "\":" << s.value;
         break;
       case MetricSample::Kind::kHistogram: {
         if (!first_h) histograms << ",";
         first_h = false;
-        histograms << "\"" << JsonEscape(s.name) << "\":{"
+        histograms << "\"" << name << "\":{"
                    << "\"count\":" << s.count << ",\"sum\":" << s.sum
                    << ",\"max\":" << s.max << ",\"p50\":" << s.p50
                    << ",\"p95\":" << s.p95 << ",\"p99\":" << s.p99

@@ -9,14 +9,20 @@ namespace ode::obs {
 
 namespace {
 
-thread_local OpProfile* tls_profile = nullptr;
-thread_local uint64_t tls_session_id = 0;
-
 uint64_t NowNs() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
+}
+
+/// The caller's context with `profile` attached and, for a session op,
+/// the session's id.
+OpContext ProfiledContext(OpProfile* profile, const SessionEntry* session) {
+  OpContext ctx = CurrentOpContext();
+  ctx.profile = profile;
+  if (session != nullptr) ctx.session_id = session->session_id();
+  return ctx;
 }
 
 }  // namespace
@@ -126,16 +132,6 @@ void OpProfile::MergeInto(OpProfile* dest) const {
   dest->wal_bytes_logged_.fetch_add(s.wal_bytes_logged,
                                     std::memory_order_relaxed);
 }
-
-OpProfile* CurrentOpProfile() { return tls_profile; }
-
-uint64_t CurrentSessionId() { return tls_session_id; }
-
-OpProfileScope::OpProfileScope(OpProfile* profile) : prev_(tls_profile) {
-  tls_profile = profile;
-}
-
-OpProfileScope::~OpProfileScope() { tls_profile = prev_; }
 
 // ---------------------------------------------------------------------------
 // SessionRegistry
@@ -284,16 +280,11 @@ ProfiledOp::ProfiledOp(SessionEntry* session, const char* op_name)
       session_(session),
       op_name_(op_name),
       start_ns_(NowNs()),
-      prev_session_id_(tls_session_id),
-      scope_(&profile_) {
-  if (session_ != nullptr) {
-    session_->BeginOp(op_name_, start_ns_);
-    tls_session_id = session_->session_id();
-  }
+      scope_(ProfiledContext(&profile_, session)) {
+  if (session_ != nullptr) session_->BeginOp(op_name_, start_ns_);
 }
 
 ProfiledOp::~ProfiledOp() {
-  tls_session_id = prev_session_id_;
   uint64_t duration = NowNs() - start_ns_;
   // The scope is still installed here (members are destroyed after this
   // body), so the snapshot covers every charge of the op.
@@ -301,9 +292,7 @@ ProfiledOp::~ProfiledOp() {
     profile_.MergeInto(&session_->totals());
     session_->EndOp(duration);
   }
-  if (parent_ != nullptr && parent_ != &profile_) {
-    profile_.MergeInto(parent_);
-  }
+  if (parent_ != nullptr) profile_.MergeInto(parent_);
   uint64_t threshold = SlowOpLog::Global().threshold_ns();
   if (threshold != 0 && duration >= threshold) {
     SlowOpLog::Global().Record(

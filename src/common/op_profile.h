@@ -11,6 +11,7 @@
 
 #include "common/thread_annotations.h"
 #include "common/threading.h"
+#include "common/trace.h"
 
 namespace ode::obs {
 
@@ -56,11 +57,10 @@ void AppendOpProfileStatsJson(std::ostringstream& os, const OpProfileStats& s);
 /// The per-operation profiling context every engine layer charges into.
 ///
 /// All fields are relaxed atomics: one profile may be charged from many
-/// threads at once (parallel scan partitions adopt the caller's profile
-/// exactly like they adopt its `TraceContext`). Charge sites pay one
-/// thread-local pointer test when no profile is attached — the
-/// `CurrentOpProfile()` null check — and a handful of relaxed adds when
-/// one is.
+/// threads at once (parallel scan partitions adopt the caller's whole
+/// `OpContext`, profile included). Charge sites pay one thread-local
+/// pointer test when no profile is attached — the `CurrentOpProfile()`
+/// null check — and a handful of relaxed adds when one is.
 class OpProfile {
  public:
   OpProfile() = default;
@@ -137,35 +137,6 @@ class OpProfile {
   std::atomic<uint64_t> lock_wait_ns_{0};
   std::atomic<uint64_t> wal_commit_wait_ns_{0};
   std::atomic<uint64_t> wal_bytes_logged_{0};
-};
-
-/// The calling thread's attached profile (nullptr = profiling off —
-/// the near-zero-cost common case every charge site tests first).
-OpProfile* CurrentOpProfile();
-
-/// The session id of the `ProfiledOp` currently running on the calling
-/// thread (0 = none / not session-bound). The access recorder stamps
-/// this into its events, the same way journal records stamp the
-/// thread's trace context.
-uint64_t CurrentSessionId();
-
-/// Installs `profile` as the calling thread's current profile for the
-/// scope's lifetime, restoring the previous one on destruction. Used
-/// both to *attach* a profile on the initiating thread and to *adopt*
-/// the initiator's profile on a worker thread (capture
-/// `CurrentOpProfile()` before spawning, adopt inside the worker —
-/// the exact `TraceContextScope` pattern). Installing nullptr is legal
-/// and turns profiling off for the scope.
-class OpProfileScope {
- public:
-  explicit OpProfileScope(OpProfile* profile);
-  ~OpProfileScope();
-
-  OpProfileScope(const OpProfileScope&) = delete;
-  OpProfileScope& operator=(const OpProfileScope&) = delete;
-
- private:
-  OpProfile* prev_;
 };
 
 /// One live session as the inspector sees it. `current_op` is a
@@ -307,14 +278,16 @@ class SlowOpLog {
   size_t next_ ODE_GUARDED_BY(mu_) = 0;
 };
 
-/// RAII around one profiled operation: installs a fresh `OpProfile`
-/// for the scope, and on destruction
+/// RAII around one profiled operation: installs the caller's context
+/// with a fresh `OpProfile` (and, when a session entry is given, the
+/// session's id) for the scope, and on destruction
 ///  * merges the charges into the enclosing profile (if any), so
 ///    nested ops aggregate upward,
 ///  * merges them into `session->totals()` and stamps the session's
-///    current-op state (when a session entry is given), and
+///    current-op state (when a session entry is given),
 ///  * parks the full profile in the `SlowOpLog` when the op ran longer
-///    than the threshold.
+///    than the threshold, and
+///  * restores the caller's context.
 /// `op_name` must have static storage duration.
 class ProfiledOp {
  public:
@@ -334,9 +307,29 @@ class ProfiledOp {
   SessionEntry* session_;
   const char* op_name_;
   uint64_t start_ns_;
-  uint64_t prev_session_id_;  ///< thread's session id before this op
-  OpProfileScope scope_;  ///< installs &profile_; last member: first out
+  OpContextScope scope_;  ///< installs the op's context; last member: first out
 };
+
+/// Runs `body` with `*nested` as the thread's profile (trace ids and
+/// session unchanged), stores its wall time in `*elapsed_ns`, then
+/// merges `*nested` into the enclosing profile, if any, so session
+/// totals and slow-op records still see the work. This is how EXPLAIN
+/// ANALYZE attributes charges to one plan operator.
+template <typename Body>
+auto RunNestedProfile(OpProfile* nested, uint64_t* elapsed_ns, Body body)
+    -> decltype(body()) {
+  OpContext inner = CurrentOpContext();
+  OpProfile* enclosing = inner.profile;
+  inner.profile = nested;
+  uint64_t start = Tracing::NowNanos();
+  decltype(body()) result = [&] {
+    OpContextScope scope(inner);
+    return body();
+  }();
+  *elapsed_ns = Tracing::NowNanos() - start;
+  if (enclosing != nullptr) nested->MergeInto(enclosing);
+  return result;
+}
 
 }  // namespace ode::obs
 

@@ -1,6 +1,7 @@
 #include "common/strings.h"
 
 #include <cctype>
+#include <cstdio>
 
 namespace ode {
 
@@ -83,6 +84,26 @@ std::vector<std::string> WrapText(std::string_view text, size_t width) {
     }
   }
   return lines;
+}
+
+void AppendJsonEscaped(std::string* out, std::string_view s) {
+  for (char c : s) {
+    switch (c) {
+      case '"': *out += "\\\""; break;
+      case '\\': *out += "\\\\"; break;
+      case '\n': *out += "\\n"; break;
+      case '\r': *out += "\\r"; break;
+      case '\t': *out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          *out += buf;
+        } else {
+          *out += c;
+        }
+    }
+  }
 }
 
 }  // namespace ode

@@ -30,6 +30,12 @@ std::string PadTo(std::string_view s, size_t width);
 /// spaces when possible. Existing newlines are honored.
 std::vector<std::string> WrapText(std::string_view text, size_t width);
 
+/// Appends `s` to `*out` escaped for the inside of a JSON string: `"`,
+/// `\`, newline, carriage return and tab as two-character escapes,
+/// other bytes below 0x20 as `\u00XX`, and every other byte (UTF-8
+/// included) unchanged.
+void AppendJsonEscaped(std::string* out, std::string_view s);
+
 }  // namespace ode
 
 #endif  // ODEVIEW_COMMON_STRINGS_H_

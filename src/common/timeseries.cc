@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <utility>
 
+#include "common/strings.h"
 #include "common/trace.h"
 
 namespace ode::obs {
@@ -159,27 +160,6 @@ TimeSeries TimeSeriesStore::Series(const std::string& name) const {
 }
 
 namespace {
-
-void AppendJsonEscaped(std::string* out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          *out += c;
-        }
-    }
-  }
-}
 
 const char* KindName(MetricSample::Kind kind) {
   switch (kind) {

@@ -8,6 +8,7 @@
 #include <sstream>
 #include <vector>
 
+#include "common/strings.h"
 #include "common/thread_annotations.h"
 #include "common/threading.h"
 
@@ -69,8 +70,10 @@ ThreadBuffer& LocalBuffer() {
   return *buffer;
 }
 
+/// This thread's nesting of open spans (a depth, not a causal parent:
+/// never handed to another thread).
 thread_local uint32_t tls_span_depth = 0;
-thread_local TraceContext tls_context;
+thread_local OpContext tls_context;
 
 /// Span/trace id allocator. Ids are process-unique and never zero
 /// (zero means "no id"), shared between trace and span ids.
@@ -100,13 +103,21 @@ uint64_t Tracing::NowNanos() {
       std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count());
 }
 
-TraceContext CurrentTraceContext() { return tls_context; }
+OpContext CurrentOpContext() { return tls_context; }
 
-TraceContextScope::TraceContextScope(TraceContext ctx) : saved_(tls_context) {
+TraceContext CurrentTraceContext() {
+  return TraceContext{tls_context.trace_id, tls_context.span_id};
+}
+
+OpProfile* CurrentOpProfile() { return tls_context.profile; }
+
+uint64_t CurrentSessionId() { return tls_context.session_id; }
+
+OpContextScope::OpContextScope(const OpContext& ctx) : saved_(tls_context) {
   tls_context = ctx;
 }
 
-TraceContextScope::~TraceContextScope() { tls_context = saved_; }
+OpContextScope::~OpContextScope() { tls_context = saved_; }
 
 TraceContext Tracing::NewRootContext() {
   TraceContext ctx;
@@ -221,34 +232,6 @@ std::vector<TraceEvent> Tracing::SnapshotEvents() {
   return out;
 }
 
-namespace {
-
-/// Span names are compile-time literals by convention, but the export
-/// must stay valid JSON even when one carries a quote, backslash, or
-/// control byte.
-void StreamJsonEscaped(std::ostringstream& os, const char* text) {
-  for (const char* p = text; *p != '\0'; ++p) {
-    unsigned char c = static_cast<unsigned char>(*p);
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\r': os << "\\r"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << *p;
-        }
-    }
-  }
-}
-
-}  // namespace
-
 std::string Tracing::ExportChromeJson() {
   std::ostringstream os;
   os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
@@ -267,9 +250,11 @@ std::string Tracing::ExportChromeJson() {
       std::snprintf(dur, sizeof(dur), "%llu.%03llu",
                     static_cast<unsigned long long>(event.duration_ns / 1000),
                     static_cast<unsigned long long>(event.duration_ns % 1000));
-      os << "{\"name\":\"";
-      StreamJsonEscaped(os, event.name);
-      os << "\",\"cat\":\"ode\""
+      // Span names are literals by convention, but the export must stay
+      // valid JSON even when one carries a quote or control byte.
+      std::string name;
+      AppendJsonEscaped(&name, event.name);
+      os << "{\"name\":\"" << name << "\",\"cat\":\"ode\""
          << ",\"ph\":\"X\",\"pid\":1,\"tid\":" << event.thread_id
          << ",\"ts\":" << ts << ",\"dur\":" << dur
          << ",\"args\":{\"depth\":" << event.depth
@@ -286,10 +271,11 @@ TraceSpan::TraceSpan(const char* name) {
   name_ = name;
   start_ns_ = Tracing::NowNanos();
   depth_ = tls_span_depth++;
-  parent_ = tls_context;
+  parent_ = CurrentTraceContext();
   trace_id_ = parent_.valid() ? parent_.trace_id : NextCausalId();
   span_id_ = NextCausalId();
-  tls_context = TraceContext{trace_id_, span_id_};
+  tls_context.trace_id = trace_id_;
+  tls_context.span_id = span_id_;
   ThreadBuffer& buffer = LocalBuffer();
   MutexLock lock(buffer.mu);
   buffer.last_activity_ns = start_ns_;
@@ -307,7 +293,8 @@ TraceSpan::TraceSpan(const char* name) {
 TraceSpan::~TraceSpan() {
   if (name_ == nullptr) return;
   --tls_span_depth;
-  tls_context = parent_;
+  tls_context.trace_id = parent_.trace_id;
+  tls_context.span_id = parent_.span_id;
   {
     ThreadBuffer& buffer = LocalBuffer();
     MutexLock lock(buffer.mu);

@@ -21,16 +21,10 @@ struct TraceEvent {
   uint64_t parent_id = 0;  ///< span id of the causal parent (0 = root)
 };
 
+class OpProfile;
+
 /// The causal position of the executing code: which trace tree it is
-/// part of and which span new children should parent to. Each thread
-/// carries a current context (maintained by `TraceSpan` nesting);
-/// crossing a thread boundary requires an explicit hand-off:
-///
-///   TraceContext ctx = CurrentTraceContext();     // capture (producer)
-///   worker.Submit([ctx] {
-///     TraceContextScope adopt(ctx);               // adopt (consumer)
-///     ODE_TRACE_SPAN("pool.fetch");               // child of ctx.span_id
-///   });
+/// part of and which span new children should parent to.
 struct TraceContext {
   uint64_t trace_id = 0;  ///< 0 = detached (spans start a fresh trace)
   uint64_t span_id = 0;   ///< parent for spans opened under this context
@@ -38,24 +32,52 @@ struct TraceContext {
   bool valid() const { return trace_id != 0; }
 };
 
-/// Captures the calling thread's current causal context.
+/// Everything the operation running on a thread carries through the
+/// layers: its causal position, the session it serves and the profile
+/// its resource charges land in. Each thread has one current context;
+/// `TraceSpan` moves its span id, `ProfiledOp` attaches a profile and
+/// session. Crossing a thread boundary copies the whole value:
+///
+///   OpContext ctx = CurrentOpContext();           // capture (producer)
+///   worker.Submit([ctx] {
+///     OpContextScope adopt(ctx);                  // adopt (consumer)
+///     ODE_TRACE_SPAN("pool.fetch");               // child of ctx.span_id
+///   });
+///
+/// A worker that may outlive the capturing op (it is never joined)
+/// must clear `profile` before adopting: the profile usually lives on
+/// that op's stack.
+struct OpContext {
+  uint64_t trace_id = 0;    ///< 0 = detached (spans start a fresh trace)
+  uint64_t span_id = 0;     ///< parent for spans opened under this context
+  uint64_t session_id = 0;  ///< 0 = not session-bound
+  OpProfile* profile = nullptr;  ///< nullptr = profiling off
+};
+
+/// The calling thread's current context, whole or by part.
+OpContext CurrentOpContext();
 TraceContext CurrentTraceContext();
+/// nullptr = profiling off: the near-zero-cost common case every
+/// charge site tests first.
+OpProfile* CurrentOpProfile();
+/// 0 = not session-bound. The access recorder stamps it into its
+/// events, the way journal records stamp the trace context.
+uint64_t CurrentSessionId();
 
-/// RAII adoption of a captured context: installs `ctx` as the calling
-/// thread's current context and restores the previous one on scope
-/// exit. Adopting a default-constructed context detaches the scope
-/// (spans inside start fresh traces) — useful for making each user
-/// gesture a causal root regardless of the caller's context.
-class TraceContextScope {
+/// Installs `ctx` as the calling thread's current context and restores
+/// the previous one on scope exit. Adopting a default-constructed
+/// context detaches the scope: spans inside start fresh traces and no
+/// profile or session is charged.
+class OpContextScope {
  public:
-  explicit TraceContextScope(TraceContext ctx);
-  ~TraceContextScope();
+  explicit OpContextScope(const OpContext& ctx);
+  ~OpContextScope();
 
-  TraceContextScope(const TraceContextScope&) = delete;
-  TraceContextScope& operator=(const TraceContextScope&) = delete;
+  OpContextScope(const OpContextScope&) = delete;
+  OpContextScope& operator=(const OpContextScope&) = delete;
 
  private:
-  TraceContext saved_;
+  OpContext saved_;
 };
 
 /// A span that is currently open (its `TraceSpan` has not left scope),
@@ -141,9 +163,9 @@ class Tracing {
 ///     ...
 ///   }
 ///
-/// While the span is open it is the thread's current context, so
-/// nested spans (and journal records) parent to it; the previous
-/// context is restored on scope exit. The name must be a string with
+/// While the span is open it is the thread's current causal position,
+/// so nested spans (and journal records) parent to it; the previous
+/// trace ids are restored on scope exit. The name must be a string with
 /// static storage duration (a literal).
 class TraceSpan {
  public:

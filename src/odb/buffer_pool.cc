@@ -291,15 +291,16 @@ void BufferPool::Prefetch(PageId id) {
   if (id == kNoPage || Cached(id)) return;
   if (prefetcher_.pending() >= kMaxPendingPrefetches) return;
   prefetches_->Increment();
-  // Capture the caller's causal context so the prefetch fetch spans
-  // attach to the scan/cascade that requested them, not to a detached
-  // worker-thread root. The op profile rides along the same way, so
-  // read-ahead I/O is billed to the operation that asked for it.
-  obs::TraceContext ctx = obs::CurrentTraceContext();
-  obs::OpProfile* profile = obs::CurrentOpProfile();
-  prefetcher_.Submit([this, id, ctx, profile] {
-    obs::TraceContextScope adopt(ctx);
-    obs::OpProfileScope adopt_profile(profile);
+  // Adopt the caller's context so the prefetch fetch spans attach to
+  // the scan/cascade that requested them, not to a detached worker
+  // root. The profile stays behind: the worker is never joined, so the
+  // requesting op (and the profile on its stack) may be gone by the
+  // time the read runs. Read-ahead I/O shows in the global pool/pager
+  // counters and the trace, billed to no op.
+  obs::OpContext ctx = obs::CurrentOpContext();
+  ctx.profile = nullptr;
+  prefetcher_.Submit([this, id, ctx] {
+    obs::OpContextScope adopt(ctx);
     // Pin briefly with read intent so the page lands in its shard;
     // errors (e.g. a speculative id past the end) are ignored. The
     // fetch never triggers further read-ahead (no cascades).

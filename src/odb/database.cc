@@ -686,14 +686,14 @@ Result<exec::ExplainResult> Database::ExplainJoin(
 
 Status Database::ScanRawRecords(const std::string& class_name, uint64_t from,
                                 size_t limit, RawRecordBatch* out,
-                                bool forward) {
+                                bool forward, uint64_t last) {
   out->clear();
   ReaderMutexLock lock(schema_mu_);
   ODE_ASSIGN_OR_RETURN(const ClusterInfo* info,
                        catalog_->FindCluster(class_name));
   ODE_ASSIGN_OR_RETURN(HeapFile * heap, GetHeap(info->id));
   out->cluster = info->id;
-  Status status = heap->RecordsInto(from, forward, limit, &out->arena,
+  Status status = heap->RecordsInto(from, forward, last, limit, &out->arena,
                                     &out->records);
   if (status.IsOutOfRange()) return Status::OK();  // exhausted: empty batch
   return status;

@@ -240,17 +240,18 @@ class Database {
 
   /// The one raw read records leave a cluster by, for the executor and
   /// `ObjectCursor`: up to `limit` (local id, record bytes) pairs with
-  /// id greater than `from` (ascending), or less than `from` when
-  /// `forward` is false (descending), in one lock round-trip. An
-  /// exhausted scan returns an empty batch (never OutOfRange). The
-  /// schema lock is held per call, not across the whole scan, so scans
-  /// interleave with mutations; callers needing a stable snapshot bound
-  /// the scan by `mutation_epoch()`. `*out` is cleared (capacity
-  /// retained) before anything can fail, then refilled, so a looping
-  /// caller reuses the arena instead of reallocating per batch.
+  /// id greater than `from` and at most `last` (ascending), or less
+  /// than `from` when `forward` is false (descending; `last` unused),
+  /// in one lock round-trip. An exhausted scan returns an empty batch
+  /// (never OutOfRange). The schema lock is held per call, not across
+  /// the whole scan, so scans interleave with mutations; callers
+  /// needing a stable snapshot bound the scan by `mutation_epoch()`.
+  /// `*out` is cleared (capacity retained) before anything can fail,
+  /// then refilled, so a looping caller reuses the arena instead of
+  /// reallocating per batch.
   Status ScanRawRecords(const std::string& class_name, uint64_t from,
                         size_t limit, RawRecordBatch* out,
-                        bool forward = true);
+                        bool forward = true, uint64_t last = UINT64_MAX);
 
   // --- Triggers --------------------------------------------------------
 
@@ -438,11 +439,16 @@ class Session {
   uint64_t id() const { return id_; }
   Database* database() { return db_; }
 
-  /// The session's causal anchor: a trace context rooted at the
-  /// zero-length `db.session` span recorded when the session opened
-  /// (zero ids when tracing was off). Browse cascades adopt it so a
-  /// Chrome trace groups every gesture under its session.
-  obs::TraceContext trace_context() const { return trace_context_; }
+  /// The context a gesture of this session runs under: the session's
+  /// id and its causal anchor, the zero-length `db.session` span
+  /// recorded when the session opened (zero trace ids when tracing was
+  /// off), with no profile. Browse cascades adopt it so a Chrome trace
+  /// groups every gesture under its session and the access recorder
+  /// stamps the session on every event.
+  obs::OpContext context() const {
+    return obs::OpContext{trace_context_.trace_id, trace_context_.span_id,
+                          id_, nullptr};
+  }
 
   /// The session's inspector entry (`/sessions`): live current-op
   /// state plus cumulative resource totals. Null for a

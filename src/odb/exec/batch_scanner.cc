@@ -19,8 +19,8 @@ BatchScanner::BatchScanner(Database* db, std::string class_name,
 Result<bool> BatchScanner::Next(RowBatch* batch) {
   batch->clear();
   if (done_) return false;
-  ODE_RETURN_IF_ERROR(
-      db_->ScanRawRecords(class_name_, cursor_, batch_size_, &raw_));
+  ODE_RETURN_IF_ERROR(db_->ScanRawRecords(class_name_, cursor_, batch_size_,
+                                          &raw_, /*forward=*/true, last_));
   if (raw_.records.empty()) {
     done_ = true;
     return false;
@@ -30,10 +30,6 @@ Result<bool> BatchScanner::Next(RowBatch* batch) {
   batch->versions.reserve(raw_.records.size());
   batch->values.reserve(raw_.records.size());
   for (const HeapFile::RecordSpan& span : raw_.records) {
-    if (span.local_id > last_) {
-      done_ = true;
-      break;
-    }
     cursor_ = span.local_id;
     ODE_ASSIGN_OR_RETURN(ProjectedRecord record,
                          DecodeObjectRecordProjected(raw_.bytes(span), mask_));
@@ -44,7 +40,7 @@ Result<bool> BatchScanner::Next(RowBatch* batch) {
     batch->arena_bytes += span.length;
   }
   if (raw_.records.size() < batch_size_) done_ = true;
-  return !batch->locals.empty();
+  return true;
 }
 
 }  // namespace ode::odb::exec

@@ -206,8 +206,10 @@ Result<ScanResult> ExecuteScan(Database* db, const ScanSpec& spec) {
   const size_t chunk = (ids.size() + workers - 1) / workers;
   std::vector<ScanResult> parts(workers);
   std::vector<Status> statuses(workers, Status::OK());
-  obs::TraceContext parent = obs::CurrentTraceContext();
-  obs::OpProfile* parent_profile = obs::CurrentOpProfile();
+  // Workers are joined before this returns, so they adopt the caller's
+  // whole context: spans, session id and profile charges all land
+  // where the serial scan's would.
+  obs::OpContext caller = obs::CurrentOpContext();
   std::vector<std::thread> threads;
   threads.reserve(workers);
   for (size_t w = 0; w < workers; ++w) {
@@ -219,9 +221,8 @@ Result<ScanResult> ExecuteScan(Database* db, const ScanSpec& spec) {
     // partition twice.
     uint64_t after = begin == 0 ? 0 : ids[begin - 1].local;
     uint64_t last = ids[end - 1].local;
-    threads.emplace_back([&, w, after, last, parent, parent_profile] {
-      obs::TraceContextScope adopt(parent);
-      obs::OpProfileScope adopt_profile(parent_profile);
+    threads.emplace_back([&, w, after, last, caller] {
+      obs::OpContextScope adopt(caller);
       ODE_TRACE_SPAN("exec.scan.partition");
       statuses[w] =
           ScanPartition(db, spec, compiled, mask_ptr, after, last, &parts[w]);
@@ -368,26 +369,17 @@ bool ComputeKeys(const std::vector<ScanRow>& rows, const std::string& path,
 namespace {
 
 /// Runs `body` under a fresh nested profile when `actuals` is wanted,
-/// recording wall time and the phase's resource snapshot, then merges
-/// the nested profile back into the enclosing one (so session totals
-/// and the op's own slow-log record stay complete). With no actuals
-/// requested the body runs directly under the caller's profile.
+/// recording wall time and the phase's resource snapshot. With no
+/// actuals requested the body runs directly under the caller's profile.
 template <typename Body>
 auto RunJoinPhase(bool collect, uint64_t* out_ns,
                   obs::OpProfileStats* out_profile, Body body)
     -> decltype(body()) {
   if (!collect) return body();
   obs::OpProfile phase_profile;
-  uint64_t start = MonotonicNs();
-  decltype(body()) result = [&] {
-    obs::OpProfileScope scope(&phase_profile);
-    return body();
-  }();
-  *out_ns = MonotonicNs() - start;
+  decltype(body()) result =
+      obs::RunNestedProfile(&phase_profile, out_ns, body);
   *out_profile = phase_profile.Snapshot();
-  if (auto* enclosing = obs::CurrentOpProfile()) {
-    phase_profile.MergeInto(enclosing);
-  }
   return result;
 }
 

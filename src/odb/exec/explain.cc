@@ -1,53 +1,16 @@
 #include "odb/exec/explain.h"
 
-#include <chrono>
 #include <cstdio>
 #include <set>
 #include <sstream>
 
+#include "common/strings.h"
 #include "odb/exec/compiled_predicate.h"
 #include "odb/predicate.h"
 
 namespace ode::odb::exec {
 
 namespace {
-
-uint64_t NowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-std::string EscapeJson(std::string_view in) {
-  std::string out;
-  out.reserve(in.size());
-  for (char c : in) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string FormatMs(uint64_t ns) {
   char buf[32];
@@ -89,13 +52,20 @@ void RenderNodeText(std::ostringstream& os, const PlanNode& node, int depth) {
   }
 }
 
+/// `s` as a quoted JSON string.
+std::string JsonString(std::string_view s) {
+  std::string out = "\"";
+  AppendJsonEscaped(&out, s);
+  return out + "\"";
+}
+
 void RenderNodeJson(std::ostringstream& os, const PlanNode& node) {
-  os << "{\"op\":\"" << EscapeJson(node.op) << "\",\"props\":{";
+  os << "{\"op\":" << JsonString(node.op) << ",\"props\":{";
   bool first = true;
   for (const auto& [key, value] : node.props) {
     if (!first) os << ",";
     first = false;
-    os << "\"" << EscapeJson(key) << "\":\"" << EscapeJson(value) << "\"";
+    os << JsonString(key) << ":" << JsonString(value);
   }
   os << "}";
   if (node.analyzed) {
@@ -202,18 +172,14 @@ Result<ExplainResult> ExplainScan(Database* db, const ScanSpec& spec,
   result.root = DescribeScan(spec);
   if (!analyze) return result;
 
-  // Run the scan under a nested profile so the plan's actuals carry
-  // exactly this scan's charges; the profile then merges back into the
-  // caller's current one so session totals stay exact.
+  // A nested profile, so the plan's actuals carry exactly this scan's
+  // charges.
   obs::OpProfile profile;
-  uint64_t start = NowNs();
-  auto run = [&]() -> Result<ScanResult> {
-    obs::OpProfileScope scope(&profile);
-    return ExecuteScan(db, spec);
-  };
-  ODE_ASSIGN_OR_RETURN(ScanResult scan, run());
-  uint64_t elapsed = NowNs() - start;
-  if (auto* enclosing = obs::CurrentOpProfile()) profile.MergeInto(enclosing);
+  uint64_t elapsed = 0;
+  ODE_ASSIGN_OR_RETURN(ScanResult scan,
+                       obs::RunNestedProfile(&profile, &elapsed, [&] {
+                         return ExecuteScan(db, spec);
+                       }));
 
   result.analyzed = true;
   result.total_ns = elapsed;
@@ -284,14 +250,11 @@ Result<ExplainResult> ExplainJoin(Database* db, const JoinSpec& spec,
   // per-operator actuals — the equivalence EXPLAIN ANALYZE promises.
   obs::OpProfile profile;
   JoinPhaseActuals actuals;
-  uint64_t start = NowNs();
-  auto run = [&]() -> Result<JoinResult> {
-    obs::OpProfileScope scope(&profile);
-    return ExecuteJoin(db, spec, &actuals);
-  };
-  ODE_ASSIGN_OR_RETURN(JoinResult out, run());
-  uint64_t elapsed = NowNs() - start;
-  if (auto* enclosing = obs::CurrentOpProfile()) profile.MergeInto(enclosing);
+  uint64_t elapsed = 0;
+  ODE_ASSIGN_OR_RETURN(JoinResult out,
+                       obs::RunNestedProfile(&profile, &elapsed, [&] {
+                         return ExecuteJoin(db, spec, &actuals);
+                       }));
 
   result.analyzed = true;
   result.total_ns = elapsed;

@@ -1,5 +1,6 @@
 #include "odb/heap_file.h"
 
+#include <algorithm>
 #include <set>
 
 #include "common/coding.h"
@@ -423,8 +424,8 @@ Result<uint64_t> HeapFile::PrevIdLocked(uint64_t before) const {
   return it->first;
 }
 
-Status HeapFile::RecordsInto(uint64_t from, bool forward, size_t limit,
-                             std::string* arena,
+Status HeapFile::RecordsInto(uint64_t from, bool forward, uint64_t last,
+                             size_t limit, std::string* arena,
                              std::vector<RecordSpan>* spans) const {
   ODE_TRACE_SPAN("heap.batch_read");
   arena->clear();
@@ -432,10 +433,11 @@ Status HeapFile::RecordsInto(uint64_t from, bool forward, size_t limit,
   ReaderMutexLock lock(*mu_);
   // Forward, `it` is the next record to read; backward, the next record
   // is the one before `it`. Either way the scan ends when `it` reaches
-  // `stop`.
+  // `stop` (forward: the first record past both `from` and `last`).
   auto it = forward ? directory_.upper_bound(from)
                     : directory_.lower_bound(from);
-  const auto stop = forward ? directory_.end() : directory_.begin();
+  const auto stop = forward ? directory_.upper_bound(std::max(from, last))
+                            : directory_.begin();
   if (it == stop) {
     return Status::OutOfRange(
         (forward ? "no object after id " : "no object before id ") +

@@ -104,16 +104,17 @@ class HeapFile {
   Result<uint64_t> PrevId(uint64_t before) const;
 
   /// The batched read every scan goes through: up to `limit` records
-  /// following `from` (ascending when `forward`) or preceding it
-  /// (descending), under a single lock round-trip. Consecutive records
+  /// following `from` and no later than `last` (ascending when
+  /// `forward`) or preceding `from` (descending), under a single lock
+  /// round-trip. Consecutive records
   /// on one page share a single pool fetch, so a batch costs a fraction
   /// of the equivalent NextId/PrevId + Get sequence. Payloads are
   /// appended to `*arena` back to back and described by `*spans` in
   /// scan order; both are cleared first (capacity retained), so a warm
   /// caller that reuses them pays no allocation per record. Fails with
   /// OutOfRange when no record exists past `from`.
-  Status RecordsInto(uint64_t from, bool forward, size_t limit,
-                     std::string* arena,
+  Status RecordsInto(uint64_t from, bool forward, uint64_t last,
+                     size_t limit, std::string* arena,
                      std::vector<RecordSpan>* spans) const;
 
   /// All ids in ascending order (for tests and bulk operations).

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <iosfwd>
 #include <string>
 
 namespace ode::odb {
@@ -35,6 +36,9 @@ struct Oid {
   /// "c<cluster>:o<local>", e.g. "c3:o17"; "null" for the null OID.
   std::string ToString() const;
 };
+
+/// Streams `ToString()`, so gtest prints a failing OID by name.
+std::ostream& operator<<(std::ostream& os, const Oid& oid);
 
 }  // namespace ode::odb
 

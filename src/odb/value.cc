@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <charconv>
+#include <ostream>
 
 #include "common/strings.h"
 
@@ -394,6 +395,10 @@ std::string Oid::ToString() const {
   std::string out;
   AppendOid(&out, *this);
   return out;
+}
+
+std::ostream& operator<<(std::ostream& os, const Oid& oid) {
+  return os << oid.ToString();
 }
 
 }  // namespace ode::odb

@@ -17,6 +17,15 @@ namespace {
 
 constexpr int kPanelWidth = 46;
 
+/// The context a browse gesture runs under: the session's causal anchor
+/// and id (detached without a session), keeping the caller's profile.
+obs::OpContext GestureContext(const odb::Session* session) {
+  obs::OpContext ctx =
+      session != nullptr ? session->context() : obs::OpContext{};
+  ctx.profile = obs::CurrentOpProfile();
+  return ctx;
+}
+
 // Synchronized-browsing instruments. Cascades are sequencing
 // operations (next/prev/reset) that refresh a whole subtree; fan-out
 // and depth histograms characterize how much window tree each cascade
@@ -399,11 +408,9 @@ Status BrowseNode::Step(bool forward) {
 }
 
 Status BrowseNode::Next() {
-  // Adopt the session's causal anchor for the whole gesture, so the
-  // step's object fetches and the refresh cascade land in one trace.
-  obs::TraceContextScope adopt(context_->session != nullptr
-                                   ? context_->session->trace_context()
-                                   : obs::TraceContext{});
+  // Adopt the session's context for the whole gesture, so the step's
+  // object fetches and the refresh cascade land in one trace.
+  obs::OpContextScope adopt(GestureContext(context_->session));
   if (faulted_) {
     return Status::FailedPrecondition("object-interactor has terminated: " +
                                       fault_message_);
@@ -420,11 +427,9 @@ Status BrowseNode::Next() {
 }
 
 Status BrowseNode::Prev() {
-  // Adopt the session's causal anchor for the whole gesture, so the
-  // step's object fetches and the refresh cascade land in one trace.
-  obs::TraceContextScope adopt(context_->session != nullptr
-                                   ? context_->session->trace_context()
-                                   : obs::TraceContext{});
+  // Adopt the session's context for the whole gesture, so the step's
+  // object fetches and the refresh cascade land in one trace.
+  obs::OpContextScope adopt(GestureContext(context_->session));
   if (faulted_) {
     return Status::FailedPrecondition("object-interactor has terminated: " +
                                       fault_message_);
@@ -441,11 +446,9 @@ Status BrowseNode::Prev() {
 }
 
 Status BrowseNode::Reset() {
-  // Adopt the session's causal anchor for the whole gesture, so the
-  // step's object fetches and the refresh cascade land in one trace.
-  obs::TraceContextScope adopt(context_->session != nullptr
-                                   ? context_->session->trace_context()
-                                   : obs::TraceContext{});
+  // Adopt the session's context for the whole gesture, so the step's
+  // object fetches and the refresh cascade land in one trace.
+  obs::OpContextScope adopt(GestureContext(context_->session));
   if (faulted_) {
     return Status::FailedPrecondition("object-interactor has terminated: " +
                                       fault_message_);
@@ -467,7 +470,7 @@ Status BrowseNode::Reset() {
 }
 
 Status BrowseNode::PropagateCascade() {
-  // Callers (Next/Prev/Reset) have already adopted the session's trace
+  // Callers (Next/Prev/Reset) have already adopted the session's
   // context, so this span — and every pool/pager span the refreshes
   // below it open — hangs off the user gesture that triggered it.
   ODE_TRACE_SPAN("view.sync_cascade");

@@ -175,8 +175,8 @@ class BrowseNode {
   /// Re-resolves current_ for reference kinds from the parent.
   Status ResolveFromParent();
   /// Refreshes this node and every child subtree under one
-  /// `view.sync_cascade` span adopted from the session's trace
-  /// context, bracketed by cascade journal records. Shared tail of
+  /// `view.sync_cascade` span adopted from the session's context,
+  /// bracketed by cascade journal records. Shared tail of
   /// Next/Prev/Reset.
   Status PropagateCascade();
   /// Renders one format into its window (creating it if needed).

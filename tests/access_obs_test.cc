@@ -1,4 +1,4 @@
-// Access-observatory battery: the sampled access recorder (ring, heat
+// Access-observatory battery: the sampled access recorder (heat
 // tables, affinity edges, loss accounting), workload capture files
 // (round-trip, torn tails), the capture→replay driver, and the
 // metrics-history time-series store.
@@ -25,9 +25,12 @@
 #include "common/access_log.h"
 #include "common/journal.h"
 #include "common/metrics.h"
+#include "common/op_profile.h"
 #include "common/timeseries.h"
 #include "common/trace.h"
 #include "odb/database.h"
+#include "odb/exec/executor.h"
+#include "odb/predicate.h"
 #include "odb/replay.h"
 
 namespace ode::obs {
@@ -112,57 +115,19 @@ TEST(AccessLogTest, OpNamesAreStable) {
 }
 
 TEST(AccessLogTest, DisabledRecorderRecordsNothing) {
-  AccessLog log(/*ring_capacity=*/32);
+  AccessLog log;
   log.Record(AccessOp::kGet, 1, 1, Journal::InternLabel("x"), 1);
   log.RecordPageTouch(1);
   log.RecordAffinity(1, 1, nullptr, 2, 2, nullptr);
   EXPECT_EQ(log.recorded(), 0u);
-  EXPECT_TRUE(log.SnapshotRing().empty());
   AccessProfile profile = log.SnapshotProfile();
   EXPECT_TRUE(profile.pages.empty());
   EXPECT_TRUE(profile.classes.empty());
   EXPECT_TRUE(profile.edges.empty());
 }
 
-TEST(AccessLogTest, EventsRoundTripThroughTheRing) {
-  AccessLog log(/*ring_capacity=*/32);
-  log.Start();
-  const char* label = Journal::InternLabel("employee");
-  log.Record(AccessOp::kUpdate, 7, 42, label, 3);
-  log.Record(AccessOp::kGet, 7, 43, label, 4);
-  std::vector<AccessEvent> events = log.SnapshotRing();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].seq, 1u);
-  EXPECT_EQ(events[0].op, AccessOp::kUpdate);
-  EXPECT_EQ(events[0].cluster, 7u);
-  EXPECT_EQ(events[0].local, 42u);
-  EXPECT_EQ(events[0].page, 3u);
-  EXPECT_EQ(events[0].class_label, label);
-  EXPECT_GT(events[0].ts_ns, 0u);
-  EXPECT_EQ(events[1].seq, 2u);
-  EXPECT_EQ(events[1].op, AccessOp::kGet);
-  EXPECT_EQ(log.recorded(), 2u);
-  EXPECT_EQ(log.dropped(), 0u);
-}
-
-TEST(AccessLogTest, RingOverwriteKeepsNewestAndCounts) {
-  AccessLog log(/*ring_capacity=*/8);
-  log.Start();
-  const char* label = Journal::InternLabel("hot");
-  for (uint64_t i = 1; i <= 20; ++i) {
-    log.Record(AccessOp::kGet, 1, i, label, i);
-  }
-  EXPECT_EQ(log.recorded(), 20u);
-  EXPECT_EQ(log.overwritten(), 12u);  // 20 appends into 8 slots
-  std::vector<AccessEvent> events = log.SnapshotRing();
-  ASSERT_EQ(events.size(), 8u);
-  // The retained tail is the newest 8 events, oldest first.
-  EXPECT_EQ(events.front().local, 13u);
-  EXPECT_EQ(events.back().local, 20u);
-}
-
 TEST(AccessLogTest, SamplingThinsTheStream) {
-  AccessLog log(/*ring_capacity=*/256);
+  AccessLog log;
   log.Start(/*sample_period=*/4);
   const char* label = Journal::InternLabel("sampled");
   for (uint64_t i = 0; i < 100; ++i) {
@@ -246,27 +211,23 @@ TEST(AccessLogTest, HeatmapJsonCarriesStateHeatAndEdges) {
   EXPECT_NE(text.find("page 12"), std::string::npos);
 }
 
-TEST(AccessLogTest, StartStopAndOverflowAreJournaled) {
-  AccessLog log(/*ring_capacity=*/8);
+TEST(AccessLogTest, StartAndStopAreJournaled) {
+  AccessLog log;
   log.Start(/*sample_period=*/3);
   const char* label = Journal::InternLabel("spill");
   for (uint64_t i = 0; i < 64; ++i) {
     log.Record(AccessOp::kGet, 1, i, label, i);
   }
   log.Stop();
-  bool saw_start = false, saw_stop = false, saw_overflow = false;
+  bool saw_start = false, saw_stop = false;
   for (const JournalRecord& r : Journal::Global().Snapshot()) {
     if (r.type == JournalEvent::kAccessRecorderStart && r.arg0 == 3) {
       saw_start = true;
     }
     if (r.type == JournalEvent::kAccessRecorderStop) saw_stop = true;
-    if (r.type == JournalEvent::kAccessRingOverflow && r.arg0 == 8) {
-      saw_overflow = true;
-    }
   }
   EXPECT_TRUE(saw_start);
   EXPECT_TRUE(saw_stop);
-  EXPECT_TRUE(saw_overflow);
 }
 
 // --- Capture files -----------------------------------------------------
@@ -287,6 +248,8 @@ TEST(AccessCaptureTest, CaptureRoundTripsEventsAndAffinity) {
   // 2 class-def records + 2 events + 1 affinity.
   EXPECT_EQ(*written, 5u);
   EXPECT_FALSE(log.capturing());
+  EXPECT_EQ(log.recorded(), 2u);
+  EXPECT_EQ(log.dropped(), 0u);
 
   Result<AccessTrace> trace = ReadAccessTrace(path);
   ASSERT_TRUE(trace.ok());
@@ -412,16 +375,78 @@ TEST(AccessChargeTest, EventsCarryTheSessionId) {
   AccessLog& log = AccessLog::Global();
   log.ResetForTest();
   auto db = ObsDb();
-  log.Start();
+  std::string path = testing::TempDir() + "/ode_access_session_id.trace";
+  ASSERT_TRUE(log.StartCapture(path).ok());
   Session session = db->OpenSession();
   Result<Oid> oid = session.CreateObject("dept", Dept("ops"));
   ASSERT_TRUE(oid.ok());
   ASSERT_TRUE(session.GetObject(*oid).ok());
-  std::vector<AccessEvent> events = log.SnapshotRing();
-  ASSERT_FALSE(events.empty());
-  EXPECT_EQ(events.back().op, AccessOp::kGet);
-  EXPECT_EQ(events.back().session_id, session.id());
+  ASSERT_TRUE(log.StopCapture().ok());
+  Result<AccessTrace> trace = ReadAccessTrace(path);
+  ASSERT_TRUE(trace.ok());
+  ASSERT_FALSE(trace->records.empty());
+  const AccessEvent& last = trace->records.back().event;
+  EXPECT_EQ(last.op, AccessOp::kGet);
+  EXPECT_EQ(last.session_id, session.id());
   log.ResetForTest();
+  std::remove(path.c_str());
+}
+
+// Parallel-scan partitions run on their own threads under the caller's
+// whole context: each record is read once, by the partition that owns
+// it, and every event carries the session of the op that scanned.
+TEST(AccessChargeTest, ParallelScanEventsCarryTheSessionId) {
+  AccessLog& log = AccessLog::Global();
+  log.ResetForTest();
+  auto db = ObsDb();
+  constexpr size_t kPeople = 400;
+  {
+    Session session = db->OpenSession();
+    for (size_t i = 0; i < kPeople; ++i) {
+      Value person = Person("p" + std::to_string(i), static_cast<int64_t>(i));
+      ASSERT_TRUE(session.CreateObject("person", std::move(person)).ok());
+    }
+  }
+  odb::Predicate predicate = *odb::ParsePredicate("age >= 0");
+  odb::exec::ScanSpec spec;
+  spec.class_name = "person";
+  spec.predicate = &predicate;
+  spec.parallelism = 4;
+  SessionEntry entry(/*session_id=*/4242, /*trace_id=*/0, /*opened_ns=*/0);
+  std::string path = testing::TempDir() + "/ode_access_parallel_scan.trace";
+  ASSERT_TRUE(log.StartCapture(path).ok());
+  {
+    ProfiledOp op(&entry, "parallel_scan");
+    Result<odb::exec::ScanResult> scanned =
+        odb::exec::ExecuteScan(db.get(), spec);
+    ASSERT_TRUE(scanned.ok());
+    EXPECT_EQ(scanned->rows.size(), kPeople);
+    EXPECT_GT(scanned->stats.partitions, 1);
+  }
+  ASSERT_TRUE(log.StopCapture().ok());
+
+  bool found = false;
+  for (const ClassHeat& heat : log.SnapshotProfile().classes) {
+    if (std::string_view(heat.class_label) == "person") {
+      found = true;
+      EXPECT_EQ(heat.by_op[static_cast<size_t>(AccessOp::kScan)], kPeople);
+    }
+  }
+  EXPECT_TRUE(found);
+  Result<AccessTrace> trace = ReadAccessTrace(path);
+  ASSERT_TRUE(trace.ok());
+  size_t scans = 0;
+  for (const AccessTraceRecord& record : trace->records) {
+    if (record.kind != AccessTraceRecord::Kind::kEvent ||
+        record.event.op != AccessOp::kScan) {
+      continue;
+    }
+    ++scans;
+    EXPECT_EQ(record.event.session_id, entry.session_id());
+  }
+  EXPECT_EQ(scans, kPeople);
+  log.ResetForTest();
+  std::remove(path.c_str());
 }
 
 TEST(AccessChargeTest, BatchedScansChargeScanEvents) {

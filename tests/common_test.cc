@@ -248,5 +248,24 @@ TEST(StringsTest, WrapTextHonorsNewlines) {
   EXPECT_EQ(lines[1], "");
 }
 
+TEST(StringsTest, AppendJsonEscapedPinsEachRule) {
+  auto escaped = [](std::string_view s) {
+    std::string out = "x:";  // appends: what is already there stays
+    AppendJsonEscaped(&out, s);
+    return out;
+  };
+  EXPECT_EQ(escaped("plain"), "x:plain");
+  EXPECT_EQ(escaped("\""), "x:\\\"");
+  EXPECT_EQ(escaped("\\"), "x:\\\\");
+  EXPECT_EQ(escaped("\n"), "x:\\n");
+  EXPECT_EQ(escaped("\r"), "x:\\r");
+  EXPECT_EQ(escaped("\t"), "x:\\t");
+  EXPECT_EQ(escaped(std::string_view("\x00\x01\x1f", 3)),
+            "x:\\u0000\\u0001\\u001f");
+  EXPECT_EQ(escaped("\x7f"), "x:\x7f");
+  // Bytes >= 0x80 pass through, so UTF-8 stays UTF-8.
+  EXPECT_EQ(escaped("caf\xc3\xa9 \x80\xff"), "x:caf\xc3\xa9 \x80\xff");
+}
+
 }  // namespace
 }  // namespace ode

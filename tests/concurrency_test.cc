@@ -1201,7 +1201,6 @@ TEST(ObsStressTest, AccessRecorderAndScrapersUnderLoad) {
       while (!stop.load(std::memory_order_relaxed)) {
         EXPECT_FALSE(log.RenderHeatmapJson().empty());
         (void)log.SnapshotProfile(/*top_pages=*/16, /*top_edges=*/16);
-        (void)log.SnapshotRing();
         EXPECT_FALSE(store.RenderJson().empty());
         store.TickOnce();
       }

@@ -92,12 +92,12 @@ TEST_F(FlightRecorderTest, CurrentContextTracksOpenSpan) {
 }
 
 TEST_F(FlightRecorderTest, CrossThreadCaptureAndAdopt) {
-  TraceContext captured;
+  OpContext captured;
   {
     ODE_TRACE_SPAN("producer");
-    captured = CurrentTraceContext();
+    captured = CurrentOpContext();
     std::thread worker([captured] {
-      TraceContextScope adopt(captured);
+      OpContextScope adopt(captured);
       ODE_TRACE_SPAN("consumer");
     });
     worker.join();
@@ -114,7 +114,7 @@ TEST_F(FlightRecorderTest, AdoptingDetachedContextStartsFreshTrace) {
   ODE_TRACE_SPAN("ambient");
   uint64_t ambient_trace = CurrentTraceContext().trace_id;
   {
-    TraceContextScope detach{TraceContext{}};
+    OpContextScope detach{OpContext{}};
     ODE_TRACE_SPAN("detached");
   }
   for (const TraceEvent& e : Tracing::SnapshotEvents()) {

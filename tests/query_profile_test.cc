@@ -17,6 +17,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -54,6 +55,24 @@ std::string StatsJson(const obs::OpProfileStats& stats) {
   std::ostringstream os;
   obs::AppendOpProfileStatsJson(os, stats);
   return os.str();
+}
+
+/// 600 objects of ~700 bytes each behind an 8-frame pool: a walk
+/// keeps stepping onto pages the pool no longer holds, so sequential
+/// read-ahead really goes to the prefetcher.
+std::unique_ptr<Database> SmallPoolDb() {
+  DatabaseOptions options;
+  options.buffer_pool_pages = 8;
+  auto db = std::move(*Database::CreateInMemory("small_pool", options));
+  EXPECT_TRUE(
+      db->DefineSchema("persistent class item { public: string pad; };").ok());
+  Session session = db->OpenSession();
+  for (int i = 0; i < 600; ++i) {
+    std::string pad(700, static_cast<char>('a' + i % 26));
+    Value item = Value::Struct({{"pad", Value::String(std::move(pad))}});
+    EXPECT_TRUE(session.CreateObject("item", std::move(item)).ok());
+  }
+  return db;
 }
 
 class QueryProfileSuite : public ::testing::Test {
@@ -112,18 +131,27 @@ TEST(OpProfileTest, ScopeInstallsAndRestores) {
   EXPECT_EQ(obs::CurrentOpProfile(), nullptr);
   obs::OpProfile outer, inner;
   {
-    obs::OpProfileScope a(&outer);
+    obs::OpContextScope a(obs::OpContext{
+        .trace_id = 5, .span_id = 6, .session_id = 7, .profile = &outer});
     EXPECT_EQ(obs::CurrentOpProfile(), &outer);
+    EXPECT_EQ(obs::CurrentSessionId(), 7u);
+    EXPECT_EQ(obs::CurrentTraceContext().trace_id, 5u);
+    EXPECT_EQ(obs::CurrentTraceContext().span_id, 6u);
     {
-      obs::OpProfileScope b(&inner);
+      obs::OpContextScope b(obs::OpContext{.profile = &inner});
       EXPECT_EQ(obs::CurrentOpProfile(), &inner);
-      // Installing nullptr turns profiling off for the scope.
-      obs::OpProfileScope off(nullptr);
+      // A default context turns profiling off and detaches the scope.
+      obs::OpContextScope off(obs::OpContext{});
       EXPECT_EQ(obs::CurrentOpProfile(), nullptr);
+      EXPECT_EQ(obs::CurrentSessionId(), 0u);
     }
+    // The whole context comes back, not only the profile.
     EXPECT_EQ(obs::CurrentOpProfile(), &outer);
+    EXPECT_EQ(obs::CurrentSessionId(), 7u);
+    EXPECT_EQ(obs::CurrentTraceContext().span_id, 6u);
   }
   EXPECT_EQ(obs::CurrentOpProfile(), nullptr);
+  EXPECT_EQ(obs::CurrentSessionId(), 0u);
 }
 
 TEST(OpProfileTest, ProfiledOpMergesIntoParentAndSession) {
@@ -131,7 +159,7 @@ TEST(OpProfileTest, ProfiledOpMergesIntoParentAndSession) {
   obs::SessionEntry session(/*session_id=*/77, /*trace_id=*/0,
                             /*opened_ns=*/0);
   obs::OpProfile outer;
-  obs::OpProfileScope scope(&outer);
+  obs::OpContextScope scope(obs::OpContext{.profile = &outer});
   {
     obs::ProfiledOp op(&session, "test_op");
     EXPECT_EQ(session.current_op(), std::string("test_op"));
@@ -159,7 +187,7 @@ TEST(OpProfileTest, ContendedLockWaitIsCharged) {
   });
   while (!held.load(std::memory_order_acquire)) std::this_thread::yield();
   {
-    obs::OpProfileScope scope(&profile);
+    obs::OpContextScope scope(obs::OpContext{.profile = &profile});
     MutexLock blocked(mu);  // contended: the timed slow path runs
   }
   holder.join();
@@ -168,7 +196,7 @@ TEST(OpProfileTest, ContendedLockWaitIsCharged) {
   // Uncontended acquisition takes the try_lock fast path: no charge.
   obs::OpProfile cheap;
   {
-    obs::OpProfileScope scope(&cheap);
+    obs::OpContextScope scope(obs::OpContext{.profile = &cheap});
     MutexLock uncontended(mu);
   }
   EXPECT_EQ(cheap.Snapshot().lock_wait_ns, 0u);
@@ -180,7 +208,7 @@ TEST_F(QueryProfileSuite, SelectChargesAttachedProfile) {
   Predicate predicate = *ParsePredicate("age > 40");
   obs::OpProfile profile;
   {
-    obs::OpProfileScope scope(&profile);
+    obs::OpContextScope scope(obs::OpContext{.profile = &profile});
     auto result = db_->Select("employee", predicate);
     ASSERT_TRUE(result.ok());
     EXPECT_FALSE(result->empty());
@@ -212,7 +240,7 @@ TEST_F(QueryProfileSuite, ParallelScanWorkersAdoptCallersProfile) {
   obs::OpProfile profile;
   exec::ScanResult serial;
   {
-    obs::OpProfileScope scope(&profile);
+    obs::OpContextScope scope(obs::OpContext{.profile = &profile});
     auto result = exec::ExecuteScan(db_.get(), spec);
     ASSERT_TRUE(result.ok());
     serial = std::move(*result);
@@ -220,9 +248,8 @@ TEST_F(QueryProfileSuite, ParallelScanWorkersAdoptCallersProfile) {
   obs::OpProfileStats s = profile.Snapshot();
   EXPECT_GT(s.partitions, 1u);
   // Worker threads charged the initiator's profile: every record the
-  // partitions pulled through the heap layer landed here (>= the rows
-  // the executor reports — partition boundaries over-read).
-  EXPECT_GE(s.heap_records, serial.stats.rows_scanned);
+  // partitions pulled through the heap layer landed here, each once.
+  EXPECT_EQ(s.heap_records, serial.stats.rows_scanned);
   EXPECT_EQ(s.rows_scanned, serial.stats.rows_scanned);
 }
 
@@ -278,7 +305,7 @@ TEST_F(QueryProfileSuite, ExplainAnalyzeSelectReportsActuals) {
 TEST_F(QueryProfileSuite, ExplainAnalyzeMergesIntoEnclosingProfile) {
   Predicate predicate = *ParsePredicate("age > 40");
   obs::OpProfile outer;
-  obs::OpProfileScope scope(&outer);
+  obs::OpContextScope scope(obs::OpContext{.profile = &outer});
   auto explained = db_->ExplainSelect("employee", predicate, true);
   ASSERT_TRUE(explained.ok());
   // The nested analysis profile merged back: session totals would not
@@ -328,36 +355,63 @@ TEST_F(QueryProfileSuite, ExplainAnalyzeJoinActualsSumToTotals) {
   EXPECT_EQ(explained->root.children[0].actual.join_probe_rows, 0u);
 }
 
-// The profile's charges must agree with the engine's global metrics:
-// running a query under a profile moves the process-wide pool counters
-// by exactly what the profile recorded.
+// The profile's charges must agree with the engine's global metrics.
+// Read-ahead runs on the never-joined prefetcher and is billed to no op
+// (the requesting op may be gone when it runs), so each prefetch is one
+// global pool lookup that the profile does not see.
 TEST_F(QueryProfileSuite, ProfileAgreesWithGlobalCounters) {
+  std::unique_ptr<Database> db = SmallPoolDb();
   db_->buffer_pool()->WaitForPrefetches();
-  Predicate predicate = *ParsePredicate("age > 40");
+  db->buffer_pool()->WaitForPrefetches();
 
-  auto lookups_total = [&] {
+  auto global = [](std::string_view name) {
     for (const obs::MetricSample& s : obs::Registry::Global().Snapshot()) {
-      if (s.name == "pool.fetch.lookups") {
-        return static_cast<uint64_t>(s.value);
-      }
+      if (s.name == name) return static_cast<uint64_t>(s.value);
     }
     return uint64_t{0};
   };
 
-  uint64_t before = lookups_total();
+  uint64_t lookups_before = global("pool.fetch.lookups");
+  uint64_t prefetches_before = global("pool.prefetches");
   obs::OpProfile profile;
   {
-    obs::OpProfileScope scope(&profile);
-    ASSERT_TRUE(db_->Select("employee", predicate).ok());
+    obs::OpContextScope scope(obs::OpContext{.profile = &profile});
+    Result<Oid> at = db->FirstObject("item");
+    for (; at.ok(); at = db->NextObject(*at)) {
+      ASSERT_TRUE(db->GetObject(*at).ok());
+    }
+    // Keep the profile attached until every read-ahead has run, so a
+    // prefetch that still charged it would show.
+    db->buffer_pool()->WaitForPrefetches();
   }
-  db_->buffer_pool()->WaitForPrefetches();
-  uint64_t after = lookups_total();
+  uint64_t lookups = global("pool.fetch.lookups") - lookups_before;
+  uint64_t prefetches = global("pool.prefetches") - prefetches_before;
   obs::OpProfileStats s = profile.Snapshot();
   EXPECT_GT(s.pool_lookups, 0u);
+  EXPECT_GT(prefetches, 0u);
   // Other tests don't run concurrently in this process, so the global
-  // delta is this query's work (prefetches it triggered included —
-  // they adopt the caller's profile).
-  EXPECT_EQ(after - before, s.pool_lookups);
+  // deltas are this walk's work.
+  EXPECT_EQ(lookups, s.pool_lookups + prefetches);
+}
+
+// A `NextObject` walk reads only the heap directory, so every pool
+// lookup it causes is read-ahead, which the prefetcher runs after the
+// step's `ProfiledOp` (and the profile on its stack) may be gone. Under
+// ASan with detect_stack_use_after_return=1 a prefetch that still held
+// the op's profile reports a write into the finished op's frame.
+TEST(PrefetchBillingTest, NextObjectWalkBillsReadAheadToNoOp) {
+  std::unique_ptr<Database> db = SmallPoolDb();
+  uint64_t prefetches_before = db->buffer_pool()->stats().prefetches;
+  Session session = db->OpenSession();
+  for (int walk = 0; walk < 20; ++walk) {
+    Result<Oid> at = session.FirstObject("item");
+    ASSERT_TRUE(at.ok());
+    while (at.ok()) at = session.NextObject(*at);
+    EXPECT_TRUE(at.status().IsOutOfRange()) << at.status().ToString();
+  }
+  db->buffer_pool()->WaitForPrefetches();
+  EXPECT_GT(db->buffer_pool()->stats().prefetches, prefetches_before);
+  EXPECT_EQ(session.entry()->totals().Snapshot().pool_lookups, 0u);
 }
 
 // --- Session accounting ----------------------------------------------

@@ -55,6 +55,11 @@ TEST(ValueTest, NullOid) {
   EXPECT_FALSE((Oid{0, 1}).IsNull());
 }
 
+TEST(ValueTest, OidPrintsByName) {
+  EXPECT_EQ(::testing::PrintToString(Oid{1, 3}), "c1:o3");
+  EXPECT_EQ(::testing::PrintToString(Oid::Null()), "null");
+}
+
 TEST(ValueTest, OidOrdering) {
   EXPECT_LT((Oid{1, 5}), (Oid{2, 1}));
   EXPECT_LT((Oid{1, 1}), (Oid{1, 2}));

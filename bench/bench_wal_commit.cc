@@ -10,6 +10,9 @@
 // threads x kCommitsPerThread acknowledged commits against an on-disk
 // database; `fsyncs_per_commit` reports the measured batching factor
 // from the wal.* instruments.
+//
+// BM_Crc32c/4096 times the log's checksum over one page image, the
+// bytes every logged page costs on append and again on recovery.
 
 #include <benchmark/benchmark.h>
 
@@ -19,6 +22,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "common/coding.h"
 #include "common/metrics.h"
 #include "odb/database.h"
 
@@ -93,6 +97,18 @@ BENCHMARK(BM_WalCommit)
     ->Args({1, 8})
     ->Unit(benchmark::kMicrosecond)
     ->UseRealTime();
+
+void BM_Crc32c(benchmark::State& state) {
+  std::string bytes(static_cast<size_t>(state.range(0)), '\0');
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<char>(i * 131);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32c(bytes));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32c)->Arg(4096);
 
 }  // namespace
 }  // namespace ode::bench

@@ -16,7 +16,10 @@ Same-run ratio mode (machine-independent — no baseline needed):
 Fails when numerator/denominator real_time exceeds --max-ratio. Both
 benchmarks come from the *same* run, so the gate holds on any machine;
 it's how CI bounds profiling-on overhead relative to profiling-off.
---ratio may repeat.
+--ratio may repeat. Run the binary with --benchmark_repetitions=N
+--benchmark_enable_random_interleaving=true and each side is the
+median of N repetitions interleaved with the other's, so a change in
+the host's speed between two benchmarks moves both sides alike.
 
 With --counter NAME the ratio is taken over that user counter (a
 `state.counters[NAME]` value in the run JSON) instead of real_time —
@@ -33,17 +36,29 @@ use is for spotting order-of-magnitude regressions, not ±5% drift.
 import argparse
 import json
 import re
+import statistics
 import sys
 
 
 def load_run(path):
+    """Benchmarks by name. A name run with --benchmark_repetitions has one
+    iteration entry per repetition; it reads as its first entry with
+    real_time, cpu_time and every counter replaced by the median over
+    all of them, so one slow repetition cannot move a gate."""
     with open(path) as f:
         data = json.load(f)
-    out = {}
+    entries = {}
     for bench in data.get("benchmarks", []):
         if bench.get("run_type", "iteration") != "iteration":
             continue
-        out[bench["name"]] = bench
+        entries.setdefault(bench["name"], []).append(bench)
+    out = {}
+    for name, runs in entries.items():
+        merged = dict(runs[0])
+        for key, value in runs[0].items():
+            if isinstance(value, (int, float)) and not isinstance(value, bool):
+                merged[key] = statistics.median(run[key] for run in runs)
+        out[name] = merged
     return out
 
 

@@ -74,7 +74,7 @@ void Help() {
   record stop                  close the capture; prints records written
   cluster-plan [trace-file]    compute a co-location plan from the access
                                recorder's affinity edges (or from a
-                               captured ODEACC01 trace file)
+                               captured ODEACC02 trace file)
   recluster                    apply the last cluster-plan (builds one if
                                needed), then install the affinity
                                prefetch source and enable affinity

@@ -1,4 +1,4 @@
-/// Fuzzes the ODEACC01 access-trace reader — capture files travel
+/// Fuzzes the ODEACC02 access-trace reader — capture files travel
 /// between machines (capture on prod, replay in a lab), so the replay
 /// side must treat every frame as hostile: lying fixed32 lengths,
 /// truncated frames, wrong CRCs, unknown record types.

@@ -6,8 +6,9 @@ starts inside the interesting code, not at the magic-number check) plus
 the malformed shapes that found real bugs — those also live inline in
 tests/decode_corpus_test.cc as named regression tests.
 
-The CRC used by every framed format is zlib's crc32 (ISO-HDLC), which
-matches common/coding.h's Crc32. Run from the repo root:
+The CRC of every framed format is CRC-32C (Castagnoli), which matches
+common/coding.h's Crc32c; the version-1 WAL and ODEACC01 seeds carry
+zlib's CRC-32, as those formats did. Run from the repo root:
 
     python3 fuzz/make_seeds.py
 """
@@ -17,6 +18,27 @@ import struct
 import zlib
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "corpus")
+
+
+def _crc32c_table():
+    table = []
+    for i in range(256):
+        crc = i
+        for _ in range(8):
+            crc = (crc >> 1) ^ (0x82F63B78 if crc & 1 else 0)
+        table.append(crc)
+    return table
+
+
+CRC32C_TABLE = _crc32c_table()
+
+
+def crc32c(data: bytes, seed: int = 0) -> int:
+    """CRC-32C with zlib.crc32's seed-chaining contract."""
+    crc = seed ^ 0xFFFFFFFF
+    for b in data:
+        crc = (crc >> 8) ^ CRC32C_TABLE[(crc ^ b) & 0xFF]
+    return crc ^ 0xFFFFFFFF
 
 
 def varint(n: int) -> bytes:
@@ -159,17 +181,19 @@ def slotted_page_seeds():
 # --- WAL ---------------------------------------------------------------
 
 WAL_MAGIC = 0x4F4445574C303155
+WAL_CRC = {1: zlib.crc32, 2: crc32c}  # checksum by log version
 
 
-def wal_header(base_lsn=0) -> bytes:
-    h = struct.pack("<QII", WAL_MAGIC, 1, 0) + struct.pack("<Q", base_lsn)
-    return h + struct.pack("<I", zlib.crc32(h)) + struct.pack("<I", 0)
+def wal_header(base_lsn=0, version=2) -> bytes:
+    h = struct.pack("<QII", WAL_MAGIC, version, 0) + struct.pack("<Q", base_lsn)
+    return h + struct.pack("<I", WAL_CRC[version](h)) + struct.pack("<I", 0)
 
 
-def wal_record(rtype: int, txn: int, payload: bytes) -> bytes:
+def wal_record(rtype: int, txn: int, payload: bytes, version=2) -> bytes:
+    crc = WAL_CRC[version]
     body = struct.pack("<BQ", rtype, txn)
-    crc = zlib.crc32(payload, zlib.crc32(body))
-    return struct.pack("<I", len(payload)) + body + struct.pack("<I", crc) + payload
+    checksum = crc(payload, crc(body))
+    return struct.pack("<I", len(payload)) + body + struct.pack("<I", checksum) + payload
 
 
 def wal_seeds():
@@ -185,15 +209,20 @@ def wal_seeds():
     yield "forged_page_id", wal_header() + wal_record(1, 3, forged) + wal_record(
         2, 3, b""
     )
-
-
-# --- ODEACC01 access trace ---------------------------------------------
-
-
-def frame(payload: bytes) -> bytes:
-    return (
-        struct.pack("<I", len(payload)) + payload + struct.pack("<I", zlib.crc32(payload))
+    # A committed transaction in a version-1 log: recovery must refuse
+    # it with a typed status, not drop it as a torn tail.
+    yield "v1_header", (
+        wal_header(version=1)
+        + wal_record(1, 7, page_img, version=1)
+        + wal_record(2, 7, b"", version=1)
     )
+
+
+# --- ODEACC02 access trace ---------------------------------------------
+
+
+def frame(payload: bytes, crc=crc32c) -> bytes:
+    return struct.pack("<I", len(payload)) + payload + struct.pack("<I", crc(payload))
 
 
 def access_trace_seeds():
@@ -218,13 +247,15 @@ def access_trace_seeds():
         + varint(43)
         + varint(1)
     )
-    yield "full_trace", b"ODEACC01" + frame(classdef) + frame(event) + frame(affinity)
-    yield "magic_only", b"ODEACC01"
+    yield "full_trace", b"ODEACC02" + frame(classdef) + frame(event) + frame(affinity)
+    yield "magic_only", b"ODEACC02"
     # Frame length claiming 2^31 bytes in a 30-byte file.
-    yield "lying_frame_len", b"ODEACC01" + struct.pack("<I", 1 << 31) + b"\x00" * 18
+    yield "lying_frame_len", b"ODEACC02" + struct.pack("<I", 1 << 31) + b"\x00" * 18
     # Right CRC, wrong interior: event record cut mid-varint.
     torn = bytes([2]) + varint(0) + b"\xff"
-    yield "torn_event", b"ODEACC01" + frame(torn)
+    yield "torn_event", b"ODEACC02" + frame(torn)
+    # An ODEACC01 capture (zlib CRC-32 frames): a typed version error.
+    yield "v1_magic", b"ODEACC01" + frame(classdef, crc=zlib.crc32)
 
 
 # --- HTTP request line -------------------------------------------------

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <sstream>
 
 #include "common/coding.h"
@@ -15,7 +14,10 @@ namespace ode::obs {
 
 namespace {
 
-constexpr char kCaptureMagic[8] = {'O', 'D', 'E', 'A', 'C', 'C', '0', '1'};
+/// "ODEACC" plus a two-digit format version. 02: CRC-32C frames (01
+/// used the zlib CRC-32).
+constexpr std::string_view kCaptureMagic = "ODEACC02";
+constexpr size_t kCaptureVersionOffset = 6;
 
 enum CaptureRecordType : uint8_t {
   kCaptureClassDef = 1,
@@ -77,7 +79,7 @@ Status AccessTraceWriter::Open(const std::string& path) {
   if (file_ == nullptr) {
     return Status::IOError("cannot open capture file '" + path + "'");
   }
-  buffer_.assign(kCaptureMagic, sizeof(kCaptureMagic));
+  buffer_.assign(kCaptureMagic);
   class_ids_.clear();
   next_class_id_ = 1;
   records_written_ = 0;
@@ -101,7 +103,7 @@ uint32_t AccessTraceWriter::InternClass(const char* label) {
 void AccessTraceWriter::WriteFramed(const std::string& payload) {
   PutFixed32(&buffer_, static_cast<uint32_t>(payload.size()));
   buffer_ += payload;
-  PutFixed32(&buffer_, Crc32(payload));
+  PutFixed32(&buffer_, Crc32c(payload));
   ++records_written_;
   if (buffer_.size() >= 256 * 1024) FlushBuffer();
 }
@@ -175,20 +177,30 @@ Result<AccessTrace> ReadAccessTrace(const std::string& path) {
   std::fclose(file);
   Result<AccessTrace> trace = ParseAccessTrace(bytes);
   if (!trace.ok()) {
-    return Status::Corruption("'" + path + "': " + trace.status().message());
+    std::string message = "'" + path + "': " + trace.status().message();
+    return trace.status().code() == StatusCode::kUnimplemented
+               ? Status::Unimplemented(std::move(message))
+               : Status::Corruption(std::move(message));
   }
   return trace;
 }
 
 Result<AccessTrace> ParseAccessTrace(std::string_view bytes) {
-  if (bytes.size() < sizeof(kCaptureMagic) ||
-      std::memcmp(bytes.data(), kCaptureMagic, sizeof(kCaptureMagic)) != 0) {
+  std::string_view magic = bytes.substr(0, kCaptureMagic.size());
+  if (magic != kCaptureMagic) {
+    if (magic.size() == kCaptureMagic.size() &&
+        magic.substr(0, kCaptureVersionOffset) ==
+            kCaptureMagic.substr(0, kCaptureVersionOffset)) {
+      return Status::Unimplemented("unsupported capture version " +
+                                   std::string(magic) + " (this build reads " +
+                                   std::string(kCaptureMagic) + ")");
+    }
     return Status::Corruption("not an access capture");
   }
 
   AccessTrace trace;
   std::map<uint32_t, const char*> classes;
-  std::string_view rest = bytes.substr(sizeof(kCaptureMagic));
+  std::string_view rest = bytes.substr(kCaptureMagic.size());
   while (!rest.empty()) {
     // Frame: fixed32 len | payload | fixed32 crc. Anything that does
     // not parse cleanly is a torn tail: stop at the last intact record.
@@ -197,7 +209,7 @@ Result<AccessTrace> ParseAccessTrace(std::string_view bytes) {
     if (rest.size() < 4 + static_cast<size_t>(len) + 4) break;
     std::string_view payload = rest.substr(4, len);
     uint32_t crc = DecodeFixed32(rest.data() + 4 + len);
-    if (Crc32(payload) != crc) break;
+    if (Crc32c(payload) != crc) break;
     rest.remove_prefix(4 + len + 4);
 
     Decoder decoder(payload);

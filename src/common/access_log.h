@@ -91,8 +91,8 @@ struct AccessProfile {
   std::vector<AffinityEdge> edges;  ///< heaviest first
 };
 
-/// Streaming writer for the access capture file: `[magic "ODEACC01"]`
-/// followed by CRC'd length-prefixed records (the WAL's framing idiom
+/// Streaming writer for the access capture file: `[magic "ODEACC02"]`
+/// followed by CRC-32C'd length-prefixed records (the WAL's framing idiom
 /// from coding.{h,cc}): `fixed32 payload_len | payload | fixed32 crc`.
 /// Payload starts with a one-byte record type:
 ///   1 class-def   varint id, length-prefixed class name
@@ -148,7 +148,9 @@ struct AccessTraceRecord {
 
 /// Reads a capture file fully into memory. `torn_tail_bytes` reports
 /// trailing bytes dropped because the final record was torn (0 = file
-/// ended on a record boundary).
+/// ended on a record boundary). A capture of another format version
+/// fails with `Unimplemented`, anything else unreadable with
+/// `Corruption`.
 struct AccessTrace {
   std::vector<AccessTraceRecord> records;
   uint64_t torn_tail_bytes = 0;

@@ -2,6 +2,10 @@
 
 #include <cstring>
 
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
+
 namespace ode {
 
 void PutFixed16(std::string* dst, uint16_t value) {
@@ -138,33 +142,66 @@ Status Decoder::GetRaw(size_t n, std::string_view* value) {
   return Status::OK();
 }
 
-namespace {
+namespace internal {
 
-/// Table-driven CRC-32 (reflected 0xEDB88320, the zlib/ISO-HDLC form).
-const uint32_t* Crc32Table() {
+uint32_t Crc32cTable(std::string_view bytes, uint32_t seed) {
+  // Reflected Castagnoli polynomial 0x82F63B78.
   static const uint32_t* table = [] {
     auto* t = new uint32_t[256];
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t crc = i;
       for (int bit = 0; bit < 8; ++bit) {
-        crc = (crc >> 1) ^ ((crc & 1) ? 0xEDB88320u : 0);
+        crc = (crc >> 1) ^ ((crc & 1) ? 0x82F63B78u : 0);
       }
       t[i] = crc;
     }
     return t;
   }();
-  return table;
-}
-
-}  // namespace
-
-uint32_t Crc32(std::string_view bytes, uint32_t seed) {
-  const uint32_t* table = Crc32Table();
   uint32_t crc = ~seed;
   for (char c : bytes) {
     crc = (crc >> 8) ^ table[(crc ^ static_cast<uint8_t>(c)) & 0xff];
   }
   return ~crc;
+}
+
+#if defined(__x86_64__)
+
+__attribute__((target("sse4.2")))
+uint32_t Crc32cHardware(std::string_view bytes, uint32_t seed) {
+  const char* p = bytes.data();
+  size_t n = bytes.size();
+  uint64_t crc = ~seed;
+  for (; n >= 8; p += 8, n -= 8) {
+    uint64_t word = 0;
+    std::memcpy(&word, p, sizeof(word));
+    crc = _mm_crc32_u64(crc, word);
+  }
+  auto crc32 = static_cast<uint32_t>(crc);
+  for (; n > 0; ++p, --n) {
+    crc32 = _mm_crc32_u8(crc32, static_cast<uint8_t>(*p));
+  }
+  return ~crc32;
+}
+
+bool Crc32cHardwareAvailable() { return __builtin_cpu_supports("sse4.2"); }
+
+#else
+
+// No crc32 instruction on this architecture: every call takes the table.
+uint32_t Crc32cHardware(std::string_view bytes, uint32_t seed) {
+  return Crc32cTable(bytes, seed);
+}
+
+bool Crc32cHardwareAvailable() { return false; }
+
+#endif
+
+}  // namespace internal
+
+uint32_t Crc32c(std::string_view bytes, uint32_t seed) {
+  static const bool hardware = internal::Crc32cHardwareAvailable();
+  return hardware ? internal::Crc32cHardware(bytes, seed)
+                  : internal::Crc32cTable(bytes, seed);
 }
 
 }  // namespace ode

@@ -30,10 +30,23 @@ void PutLengthPrefixed(std::string* dst, std::string_view value);
 /// Appends an IEEE double as 8 little-endian bytes.
 void PutDouble(std::string* dst, double value);
 
-/// CRC-32 (ISO-HDLC polynomial, the zlib variant) of `bytes`, seeded
-/// with `seed` so multi-buffer checksums chain: Crc32(b, Crc32(a)) ==
-/// Crc32(a+b). Used by the write-ahead log to detect torn record tails.
-uint32_t Crc32(std::string_view bytes, uint32_t seed = 0);
+/// CRC-32C (Castagnoli polynomial, the iSCSI/ext4 variant) of `bytes`,
+/// seeded with `seed` so multi-buffer checksums chain:
+/// Crc32c(b, Crc32c(a)) == Crc32c(a+b). Runs on the SSE4.2 `crc32`
+/// instruction when the CPU has it, a bytewise table otherwise (same
+/// result). Checksums the write-ahead log and the access-capture frames.
+uint32_t Crc32c(std::string_view bytes, uint32_t seed = 0);
+
+namespace internal {
+
+/// The two paths `Crc32c` picks between, exposed so a test can pin
+/// both on one host. Call `Crc32cHardware` only where
+/// `Crc32cHardwareAvailable()` is true.
+uint32_t Crc32cTable(std::string_view bytes, uint32_t seed);
+uint32_t Crc32cHardware(std::string_view bytes, uint32_t seed);
+bool Crc32cHardwareAvailable();
+
+}  // namespace internal
 
 /// Decodes fixed-width integers from raw buffers (caller checks bounds).
 uint16_t DecodeFixed16(const char* ptr);

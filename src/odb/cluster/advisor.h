@@ -41,7 +41,7 @@ Result<ClusterPlan> BuildClusterPlan(Database* db,
                                      const AdvisorOptions& options = {});
 
 /// Trace-driven variant: folds the affinity records of a captured
-/// ODEACC01 file (see `obs::ReadAccessTrace` / replay.h) into an edge
+/// ODEACC02 file (see `obs::ReadAccessTrace` / replay.h) into an edge
 /// list and plans from that — advise from yesterday's captured
 /// workload without keeping the recorder on.
 Result<ClusterPlan> BuildClusterPlanFromTrace(

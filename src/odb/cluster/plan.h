@@ -33,7 +33,7 @@ struct ClusterPlanEntry {
 };
 
 /// A page-placement plan computed by the advisor from access-recorder
-/// heat + affinity (or from a captured ODEACC01 trace). Apply it with
+/// heat + affinity (or from a captured ODEACC02 trace). Apply it with
 /// `Database::Recluster`.
 struct ClusterPlan {
   std::vector<ClusterPlanEntry> clusters;

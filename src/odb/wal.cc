@@ -20,7 +20,8 @@ namespace ode::odb {
 namespace {
 
 constexpr uint64_t kWalMagic = 0x4f4445574c303155ull;  // "ODEWL01U"
-constexpr uint32_t kWalVersion = 1;
+/// 2: CRC-32C checksums (version 1 used the zlib CRC-32).
+constexpr uint32_t kWalVersion = 2;
 
 // Log instruments (process-wide; the WAL has no per-instance stats
 // API, matching the pager's convention).
@@ -78,12 +79,14 @@ std::string EncodeWalHeader(uint64_t base_lsn) {
   PutFixed32(&header, kWalVersion);
   PutFixed32(&header, 0);  // reserved
   PutFixed64(&header, base_lsn);
-  PutFixed32(&header, Crc32(std::string_view(header)));
+  PutFixed32(&header, Crc32c(std::string_view(header)));
   PutFixed32(&header, 0);  // pad to kHeaderSize
   return header;
 }
 
-/// Returns the base LSN, or an error for a missing/corrupt header.
+/// Returns the base LSN. A header of another version fails with
+/// `Unimplemented` naming both versions; a truncated or corrupt one
+/// with `Corruption`.
 Result<uint64_t> DecodeWalHeader(std::string_view bytes) {
   if (bytes.size() < Wal::kHeaderSize) {
     return Status::Corruption("wal header truncated");
@@ -91,11 +94,14 @@ Result<uint64_t> DecodeWalHeader(std::string_view bytes) {
   if (DecodeFixed64(bytes.data()) != kWalMagic) {
     return Status::Corruption("bad wal magic");
   }
-  if (DecodeFixed32(bytes.data() + 8) != kWalVersion) {
-    return Status::Corruption("unsupported wal version");
+  uint32_t version = DecodeFixed32(bytes.data() + 8);
+  if (version != kWalVersion) {
+    return Status::Unimplemented(
+        "unsupported wal version " + std::to_string(version) +
+        " (this build reads version " + std::to_string(kWalVersion) + ")");
   }
   uint32_t crc = DecodeFixed32(bytes.data() + 24);
-  if (Crc32(bytes.substr(0, 24)) != crc) {
+  if (Crc32c(bytes.substr(0, 24)) != crc) {
     return Status::Corruption("wal header checksum mismatch");
   }
   return DecodeFixed64(bytes.data() + 16);
@@ -128,8 +134,8 @@ uint64_t ScanWalRecords(std::string_view bytes,
         bytes.substr(offset + Wal::kRecordHeaderSize, payload_len);
     // CRC covers type + txn + payload (everything the length and crc
     // fields describe).
-    uint32_t actual = Crc32(bytes.substr(offset + 4, 9));
-    actual = Crc32(payload, actual);
+    uint32_t actual = Crc32c(bytes.substr(offset + 4, 9));
+    actual = Crc32c(payload, actual);
     if (actual != crc) break;
     if (type != static_cast<uint8_t>(WalRecordType::kPageImage) &&
         type != static_cast<uint8_t>(WalRecordType::kCommit) &&
@@ -347,9 +353,23 @@ Result<std::unique_ptr<Wal>> Wal::OpenAndRecover(
 
   Result<uint64_t> base = DecodeWalHeader(bytes);
   if (!base.ok()) {
-    // Empty (fresh database) or garbled header. With no parsable
-    // records the data file stands as of its last checkpoint, which is
-    // consistent by construction; start a clean log.
+    // The log is left untouched unless it is provably empty: records
+    // behind the header may be committed transactions that never
+    // reached the data file. A checkpoint's Reset makes its header
+    // durable before any record is appended, so a bad header with
+    // bytes behind it is corruption, not a torn write.
+    if (bytes.size() > kHeaderSize) {
+      if (base.status().code() == StatusCode::kUnimplemented) {
+        return base.status();
+      }
+      return Status::Corruption(base.status().message() + " with " +
+                                std::to_string(bytes.size() - kHeaderSize) +
+                                " bytes of records behind it");
+    }
+    // Empty (fresh database), a Reset cut before its fsync, or the bare
+    // header a checkpoint of an older version leaves. The data file
+    // stands as of its last checkpoint, which is consistent by
+    // construction; start a clean log.
     if (!bytes.empty()) {
       out->torn_bytes = bytes.size();
       RecoveryTornBytes().Add(bytes.size());
@@ -452,8 +472,8 @@ Result<uint64_t> Wal::AppendLocked(WalRecordType type, uint64_t txn,
   PutFixed32(&rec, static_cast<uint32_t>(payload.size()));
   rec.push_back(static_cast<char>(type));
   PutFixed64(&rec, txn);
-  uint32_t crc = Crc32(std::string_view(rec).substr(4));
-  crc = Crc32(payload, crc);
+  uint32_t crc = Crc32c(std::string_view(rec).substr(4));
+  crc = Crc32c(payload, crc);
   PutFixed32(&rec, crc);
   rec.append(payload);
   ODE_RETURN_IF_ERROR(store_->Append(rec));

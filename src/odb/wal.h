@@ -156,6 +156,10 @@ class Wal {
   /// Opens the log at `path`, truncates any torn tail, replays every
   /// committed transaction into `pager` (ARIES analysis + redo; undo
   /// is vacuous under no-steal), syncs the pager, and resets the log.
+  /// A log with records behind a header it cannot trust is refused,
+  /// leaving log and data file untouched: `Unimplemented` for another
+  /// version, `Corruption` for a bad magic or checksum. A log no
+  /// longer than its header holds no records and always starts clean.
   static Result<std::unique_ptr<Wal>> OpenAndRecover(
       const std::string& path, Pager* pager, const WalOptions& options,
       WalRecoveryStats* stats = nullptr);

@@ -194,6 +194,63 @@ TEST(CodingTest, GetRawBounds) {
   EXPECT_TRUE(decoder.GetRaw(2, &v).IsCorruption());
 }
 
+// --- CRC-32C ----------------------------------------------------------
+
+using CrcFn = uint32_t (*)(std::string_view, uint32_t);
+
+// RFC 3720 §B.4 vectors and the catalogue check value of "123456789",
+// on the dispatching entry point and on the table path every CPU has.
+TEST(Crc32cTest, KnownVectors) {
+  std::string ascending(32, '\0');
+  std::string descending(32, '\0');
+  for (int i = 0; i < 32; ++i) {
+    ascending[i] = static_cast<char>(i);
+    descending[i] = static_cast<char>(31 - i);
+  }
+  for (CrcFn crc : {CrcFn{&Crc32c}, CrcFn{&internal::Crc32cTable}}) {
+    EXPECT_EQ(crc(std::string(32, '\x00'), 0), 0x8A9136AAu);
+    EXPECT_EQ(crc(std::string(32, '\xff'), 0), 0x62A8AB43u);
+    EXPECT_EQ(crc(ascending, 0), 0x46DD794Eu);
+    EXPECT_EQ(crc(descending, 0), 0x113FDB5Cu);
+    EXPECT_EQ(crc("123456789", 0), 0xE3069283u);
+    EXPECT_EQ(crc("", 0), 0u);
+  }
+}
+
+TEST(Crc32cTest, SeedChainsAcrossBuffers) {
+  const std::string bytes = "OdeView browses Ode's persistent objects.";
+  for (size_t split = 0; split <= bytes.size(); ++split) {
+    const std::string a = bytes.substr(0, split);
+    const std::string b = bytes.substr(split);
+    EXPECT_EQ(Crc32c(b, Crc32c(a)), Crc32c(a + b)) << "split " << split;
+  }
+}
+
+TEST(Crc32cTest, HardwareAndTablePathsAgree) {
+  if (!internal::Crc32cHardwareAvailable()) {
+    GTEST_SKIP() << "this CPU has no SSE4.2 crc32 instruction";
+  }
+  constexpr size_t kMaxLength = 300;
+  constexpr size_t kOffsets = 8;
+  std::string buffer(kMaxLength + kOffsets, '\0');
+  uint32_t state = 0x9E3779B9u;
+  for (char& c : buffer) {
+    state = state * 1664525u + 1013904223u;
+    c = static_cast<char>(state >> 24);
+  }
+  for (size_t offset = 0; offset < kOffsets; ++offset) {
+    for (size_t length = 0; length <= kMaxLength; ++length) {
+      std::string_view bytes(buffer.data() + offset, length);
+      for (uint32_t seed : {0u, 0xDEADBEEFu}) {
+        ASSERT_EQ(internal::Crc32cHardware(bytes, seed),
+                  internal::Crc32cTable(bytes, seed))
+            << "offset " << offset << " length " << length << " seed "
+            << seed;
+      }
+    }
+  }
+}
+
 // --- Strings ----------------------------------------------------------
 
 TEST(StringsTest, StripWhitespace) {

@@ -127,25 +127,43 @@ TEST(DecodeCorpusTest, SlottedPageSlotPastEnd) {
 
 // --- WAL recovery ------------------------------------------------------
 
-std::string WalHeaderBytes() {
+/// zlib's CRC-32, the checksum of version-1 logs and ODEACC01
+/// captures (version 2 and ODEACC02 use CRC-32C).
+uint32_t ZlibCrc32(std::string_view bytes, uint32_t seed = 0) {
+  uint32_t crc = ~seed;
+  for (char c : bytes) {
+    crc ^= static_cast<uint8_t>(c);
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1) ? 0xEDB88320u : 0);
+    }
+  }
+  return ~crc;
+}
+
+/// The checksum a log of `version` carries.
+uint32_t WalCrc(uint32_t version, std::string_view bytes, uint32_t seed = 0) {
+  return version == 1 ? ZlibCrc32(bytes, seed) : Crc32c(bytes, seed);
+}
+
+std::string WalHeaderBytes(uint32_t version = 2) {
   std::string header;
   PutFixed64(&header, uint64_t{0x4f4445574c303155});  // kWalMagic
-  PutFixed32(&header, 1);                             // version
-  PutFixed32(&header, 0);                             // reserved
-  PutFixed64(&header, 0);                             // base_lsn
-  PutFixed32(&header, Crc32(std::string_view(header)));
+  PutFixed32(&header, version);
+  PutFixed32(&header, 0);  // reserved
+  PutFixed64(&header, 0);  // base_lsn
+  PutFixed32(&header, WalCrc(version, header));
   PutFixed32(&header, 0);  // pad
   return header;
 }
 
 std::string WalRecordBytes(uint8_t type, uint64_t txn,
-                           const std::string& payload) {
+                           const std::string& payload, uint32_t version = 2) {
   std::string rec;
   PutFixed32(&rec, static_cast<uint32_t>(payload.size()));
   rec.push_back(static_cast<char>(type));
   PutFixed64(&rec, txn);
-  uint32_t crc = Crc32(std::string_view(rec).substr(4));
-  crc = Crc32(payload, crc);
+  uint32_t crc = WalCrc(version, std::string_view(rec).substr(4));
+  crc = WalCrc(version, payload, crc);
   PutFixed32(&rec, crc);
   rec += payload;
   return rec;
@@ -187,6 +205,30 @@ TEST(DecodeCorpusTest, WalInspectAcceptsForgedPageId) {
   EXPECT_EQ(records->size(), 2u);
 }
 
+// A committed transaction in a version-1 log, as a version-1 build
+// wrote it (fuzz/corpus/wal_replay/v1_header). Recovery must refuse it
+// with a typed status naming both versions and leave both files alone:
+// before the refusal, every unreadable header was a torn tail, so the
+// committed image was silently dropped.
+TEST(DecodeCorpusTest, WalRecoveryRefusesVersion1Log) {
+  std::string image_payload;
+  PutFixed32(&image_payload, 0);
+  image_payload.append(kPageSize, '\x42');
+  std::string log = WalHeaderBytes(1) +
+                    WalRecordBytes(1, 7, image_payload, 1) +
+                    WalRecordBytes(2, 7, "", 1);
+
+  auto store = std::make_unique<MemWalStore>();
+  ASSERT_TRUE(store->Append(log).ok());
+  MemPager pager;
+  auto wal = Wal::OpenAndRecover(std::move(store), &pager, WalOptions{});
+  ASSERT_FALSE(wal.ok());
+  EXPECT_EQ(wal.status().code(), StatusCode::kUnimplemented);
+  EXPECT_EQ(wal.status().message(),
+            "unsupported wal version 1 (this build reads version 2)");
+  EXPECT_EQ(pager.page_count(), 0u) << "nothing may be redone";
+}
+
 // --- heap chain --------------------------------------------------------
 
 // Two pages whose next_page pointers form a cycle. Pre-fix,
@@ -217,12 +259,12 @@ TEST(DecodeCorpusTest, HeapChainCycleDetected) {
 namespace ode::obs {
 namespace {
 
-// --- ODEACC01 access trace --------------------------------------------
+// --- ODEACC02 access trace --------------------------------------------
 
 // A frame length claiming 2^31 bytes in a 30-byte file: the reader
 // must treat it as a torn tail, not trust the length.
 TEST(DecodeCorpusTest, AccessTraceLyingFrameLength) {
-  std::string bytes = "ODEACC01";
+  std::string bytes = "ODEACC02";
   PutFixed32(&bytes, uint32_t{1} << 31);
   bytes.append(18, '\0');
   auto trace = ParseAccessTrace(bytes);
@@ -238,11 +280,31 @@ TEST(DecodeCorpusTest, AccessTraceTornEventInsideValidFrame) {
   payload.push_back(2);  // kCaptureEvent
   payload.push_back(0);  // op varint
   payload.push_back(static_cast<char>(0xff));  // cut mid-varint
+  std::string bytes = "ODEACC02";
+  PutFixed32(&bytes, static_cast<uint32_t>(payload.size()));
+  bytes += payload;
+  PutFixed32(&bytes, Crc32c(payload));
+  EXPECT_FALSE(ParseAccessTrace(bytes).ok());
+}
+
+// A well-formed ODEACC01 capture (fuzz/corpus/access_trace/v1_magic):
+// one class-def frame under the older zlib CRC-32. The reader names
+// the version it cannot read instead of calling it a non-capture.
+TEST(DecodeCorpusTest, AccessTraceRefusesVersion01) {
+  std::string payload;
+  payload.push_back(1);  // kCaptureClassDef
+  PutVarint32(&payload, 1);
+  PutLengthPrefixed(&payload, "Employee");
   std::string bytes = "ODEACC01";
   PutFixed32(&bytes, static_cast<uint32_t>(payload.size()));
   bytes += payload;
-  PutFixed32(&bytes, Crc32(payload));
-  EXPECT_FALSE(ParseAccessTrace(bytes).ok());
+  PutFixed32(&bytes, odb::ZlibCrc32(payload));
+  auto trace = ParseAccessTrace(bytes);
+  ASSERT_FALSE(trace.ok());
+  EXPECT_EQ(trace.status().code(), StatusCode::kUnimplemented);
+  EXPECT_EQ(trace.status().message(),
+            "unsupported capture version ODEACC01 (this build reads "
+            "ODEACC02)");
 }
 
 // --- telemetry HTTP ----------------------------------------------------

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "odb/buffer_pool.h"
 #include "odb/catalog.h"
@@ -315,6 +316,127 @@ TEST(WalFailureInjectionTest, PerCommitFsyncModeStillDurable) {
   }
   EXPECT_EQ(wal->durable_lsn(), wal->next_lsn());
   EXPECT_EQ(raw->durable_bytes().size(), raw->contents().size());
+}
+
+// --- Recovery refuses a log it cannot read ---------------------------------
+
+/// A log holding one committed transaction that wrote page 0.
+std::string CommittedLog() {
+  auto store = std::make_unique<MemWalStore>();
+  MemWalStore* raw = store.get();
+  auto wal = *Wal::Create(std::move(store), WalOptions{});
+  MemPager pager;
+  BufferPool pool(&pager, 4);
+  pool.SetWal(wal.get());
+  {
+    WalTransactionScope txn(wal.get(), /*txn_mu=*/nullptr);
+    PageHandle handle = *pool.NewPage();
+    handle.page()->bytes()[0] = 'c';
+    handle.MarkDirty();
+    handle.Release();
+    EXPECT_TRUE(txn.Commit().ok());
+  }
+  return raw->contents();
+}
+
+/// Forwards to a store the test keeps, so the bytes recovery leaves
+/// behind stay readable after it returns (even when it fails).
+class KeptStore final : public WalStore {
+ public:
+  explicit KeptStore(MemWalStore* store) : store_(store) {}
+  Status Append(std::string_view bytes) override {
+    return store_->Append(bytes);
+  }
+  Status Sync() override { return store_->Sync(); }
+  Result<std::string> ReadAll() override { return store_->ReadAll(); }
+  Status Reset(std::string_view header) override {
+    return store_->Reset(header);
+  }
+  Status TruncateTo(uint64_t size) override {
+    return store_->TruncateTo(size);
+  }
+  uint64_t size() const override { return store_->size(); }
+
+ private:
+  MemWalStore* store_;
+};
+
+TEST(WalFailureInjectionTest, OtherVersionLogIsRefusedUntouched) {
+  // Version 1 had this layout with the zlib CRC-32. Recovery reads the
+  // version before any checksum, so a committed transaction in a
+  // version-1 log is refused, never dropped as a torn tail.
+  std::string log = CommittedLog();
+  log[8] = 1;  // the version u32 follows the 8-byte magic
+  MemWalStore kept;
+  ASSERT_TRUE(kept.Append(log).ok());
+  MemPager pager;
+  auto recovered = Wal::OpenAndRecover(std::make_unique<KeptStore>(&kept),
+                                       &pager, WalOptions{});
+  ASSERT_FALSE(recovered.ok());
+  EXPECT_EQ(recovered.status().code(), StatusCode::kUnimplemented);
+  EXPECT_NE(recovered.status().message().find("version 1"), std::string::npos)
+      << recovered.status().message();
+  EXPECT_NE(recovered.status().message().find("version 2"), std::string::npos)
+      << recovered.status().message();
+  EXPECT_EQ(kept.contents(), log);
+  EXPECT_EQ(pager.page_count(), 0u) << "nothing may be redone";
+}
+
+TEST(WalFailureInjectionTest, CorruptHeaderWithRecordsIsRefusedUntouched) {
+  // A checkpoint's reset fsyncs the header before any record is
+  // appended, so a header that fails its magic or its checksum with
+  // bytes behind it is corruption, not a torn write.
+  const std::string log = CommittedLog();
+  const std::string one_record_byte = log.substr(0, Wal::kHeaderSize + 1);
+  // Byte 0 is in the magic, 16 in base_lsn, 24 in the checksum.
+  for (const std::string& intact : {log, one_record_byte}) {
+    for (size_t at : {0u, 16u, 24u}) {
+      std::string bad = intact;
+      bad[at] = static_cast<char>(bad[at] ^ 0x5a);
+      MemWalStore kept;
+      ASSERT_TRUE(kept.Append(bad).ok());
+      MemPager pager;
+      auto recovered = Wal::OpenAndRecover(std::make_unique<KeptStore>(&kept),
+                                           &pager, WalOptions{});
+      ASSERT_FALSE(recovered.ok()) << "byte " << at << " of " << bad.size();
+      EXPECT_EQ(recovered.status().code(), StatusCode::kCorruption);
+      EXPECT_EQ(kept.contents(), bad);
+      EXPECT_EQ(pager.page_count(), 0u);
+    }
+  }
+}
+
+TEST(WalFailureInjectionTest, LogNoLongerThanItsHeaderStartsClean) {
+  // A reset cut before its fsync leaves at most a header's worth of
+  // bytes, and a data file as of the checkpoint: a clean log. So does
+  // a checkpoint of version 1, whose bare header holds no records.
+  const std::string log = CommittedLog();
+  std::string bad_checksum = log.substr(0, Wal::kHeaderSize);
+  bad_checksum[24] = static_cast<char>(bad_checksum[24] ^ 0x5a);
+  std::string version1 = log.substr(0, Wal::kHeaderSize);
+  version1[8] = 1;
+  std::vector<std::string> images = {bad_checksum, version1};
+  for (size_t cut = 0; cut < Wal::kHeaderSize; ++cut) {
+    images.push_back(log.substr(0, cut));
+  }
+  for (const std::string& image : images) {
+    MemWalStore kept;
+    ASSERT_TRUE(kept.Append(image).ok());
+    MemPager pager;
+    WalRecoveryStats stats;
+    auto recovered = Wal::OpenAndRecover(std::make_unique<KeptStore>(&kept),
+                                         &pager, WalOptions{}, &stats);
+    ASSERT_TRUE(recovered.ok())
+        << image.size() << " bytes: " << recovered.status().ToString();
+    EXPECT_EQ(stats.torn_bytes, image.size());
+    EXPECT_EQ(stats.committed_txns, 0u);
+    // The fresh header reads back clean.
+    WalRecoveryStats again;
+    ASSERT_TRUE(Wal::OpenAndRecover(CrashImageStore(kept.contents()), &pager,
+                                    WalOptions{}, &again)
+                    .ok());
+    EXPECT_EQ(again.torn_bytes, 0u);
+  }
 }
 
 }  // namespace

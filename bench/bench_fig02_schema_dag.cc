@@ -1,8 +1,9 @@
 // Figure 2: the class-relationship (schema) window — the inheritance
 // DAG drawn with a placement algorithm that minimizes crossovers.
 //
-// Measures end-to-end layout time and quality as the schema grows, and
-// the zoom/re-render path of the schema window.
+// Measures end-to-end layout time and quality as the schema grows, the
+// zoom/re-render path of the schema window, and the cost of parsing a
+// schema and resolving its class layouts.
 
 #include <benchmark/benchmark.h>
 
@@ -48,6 +49,24 @@ BENCHMARK(BM_SchemaDagLayout)
     ->Arg(200)
     ->Arg(1000)
     ->Arg(2000);
+
+void BM_ParseSchema(benchmark::State& state) {
+  // The cost of a schema change: parse the DDL and resolve every
+  // class's inheritance (members, ancestors, effective lists).
+  int classes = static_cast<int>(state.range(0));
+  std::string ddl = odb::SyntheticSchemaDdl(classes, 2, 1990);
+  for (auto _ : state) {
+    odb::Schema schema = ValueOrDie(odb::ParseSchema(ddl), "parse");
+    benchmark::DoNotOptimize(schema);
+  }
+  state.counters["classes"] = classes;
+  state.SetItemsProcessed(state.iterations() * classes);
+}
+BENCHMARK(BM_ParseSchema)
+    ->Arg(100)
+    ->Arg(500)
+    ->Arg(2000)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_LabSchemaWindowOpen(benchmark::State& state) {
   // The whole Fig. 2 interaction: schema window with laid-out DAG.

@@ -282,6 +282,21 @@ def ddl_seeds():
     # The crasher shape: nesting far past the depth cap.
     yield "deep_type_nesting", b"class T { " + b"set<" * 600 + b"int" + b">" * 600 + b" x; };"
     yield "unterminated_string", b'class T { string x = "abc'
+    # Base graphs the class layouts must resolve before Validate rejects
+    # them: a cycle, self-derivation, and bases that name no class.
+    yield "cyclic_bases", (
+        b"class a : public b { int x; };\nclass b : public a { int y; };\n"
+    )
+    yield "self_base", b"class s : public s { int x; };\n"
+    yield "dangling_base", (
+        b"class d : public ghost, public other { int x; };\n"
+        b"class e : public d, public ghost { int y; };\n"
+    )
+    # A long valid chain: resolving it must not recurse per link.
+    yield "deep_chain", b"class c0 { int m0; };\n" + b"".join(
+        b"class c%d : public c%d { int m%d; };\n" % (i, i - 1, i)
+        for i in range(1, 200)
+    )
 
 
 # --- predicate ---------------------------------------------------------

@@ -134,11 +134,6 @@ class Tracing {
   static void Record(const char* name, uint64_t start_ns,
                      uint64_t duration_ns, uint32_t depth, uint64_t trace_id,
                      uint64_t span_id, uint64_t parent_id);
-  /// Legacy arity (no causal ids); kept for existing callers/tests.
-  static void Record(const char* name, uint64_t start_ns,
-                     uint64_t duration_ns, uint32_t depth) {
-    Record(name, start_ns, duration_ns, depth, 0, 0, 0);
-  }
 
   /// A fresh context rooted in a brand-new trace (unique trace and
   /// span ids). Use for long-lived causal anchors such as sessions.

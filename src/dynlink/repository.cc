@@ -91,10 +91,9 @@ Result<const DisplayModule*> ModuleRepository::FindInherited(
     const std::string& class_name, const std::string& format) const {
   Result<const DisplayModule*> own = Find(db_name, class_name, format);
   if (own.ok() || !own.status().IsNotFound()) return own;
-  Result<std::vector<std::string>> ancestors =
-      schema.Ancestors(class_name);
-  if (ancestors.ok()) {
-    for (const std::string& ancestor : *ancestors) {
+  Result<const odb::ClassLayout*> layout = schema.Layout(class_name);
+  if (layout.ok()) {
+    for (const std::string& ancestor : (*layout)->ancestors) {
       Result<const DisplayModule*> inherited =
           Find(db_name, ancestor, format);
       if (inherited.ok() || !inherited.status().IsNotFound()) {
@@ -111,10 +110,9 @@ std::vector<std::string> ModuleRepository::InheritedFormatsFor(
     const odb::Schema& schema, const std::string& db_name,
     const std::string& class_name) const {
   std::vector<std::string> out = FormatsFor(db_name, class_name);
-  Result<std::vector<std::string>> ancestors =
-      schema.Ancestors(class_name);
-  if (ancestors.ok()) {
-    for (const std::string& ancestor : *ancestors) {
+  Result<const odb::ClassLayout*> layout = schema.Layout(class_name);
+  if (layout.ok()) {
+    for (const std::string& ancestor : (*layout)->ancestors) {
       for (const std::string& format : FormatsFor(db_name, ancestor)) {
         if (std::find(out.begin(), out.end(), format) == out.end()) {
           out.push_back(format);

@@ -52,15 +52,15 @@ Result<std::string> FormatObjectText(const odb::Schema& schema,
                                      const std::vector<std::string>& attrs,
                                      const std::vector<bool>& mask,
                                      bool privileged) {
-  ODE_ASSIGN_OR_RETURN(std::vector<odb::MemberDef> members,
-                       schema.AllMembers(object.class_name));
+  ODE_ASSIGN_OR_RETURN(const odb::ClassLayout* layout,
+                       schema.Layout(object.class_name));
   std::string out = object.class_name;
   out.push_back(' ');
   out.append(object.oid.ToString());
   out.append(" (v");
   out.append(std::to_string(object.version));
   out.append(")\n");
-  for (const odb::MemberDef& member : members) {
+  for (const odb::MemberDef& member : layout->members) {
     if (!privileged && member.access != odb::Access::kPublic) continue;
     if (!AttributeSelected(attrs, mask, member.name)) continue;
     const odb::Value* value = object.value.FindField(member.name);
@@ -100,10 +100,10 @@ DisplayFunction SynthesizeDisplayFunction(const odb::Schema& schema,
 
 Result<std::vector<std::string>> SynthesizeDisplayList(
     const odb::Schema& schema, const std::string& class_name) {
-  ODE_ASSIGN_OR_RETURN(std::vector<odb::MemberDef> members,
-                       schema.AllMembers(class_name));
+  ODE_ASSIGN_OR_RETURN(const odb::ClassLayout* layout,
+                       schema.Layout(class_name));
   std::vector<std::string> out;
-  for (const odb::MemberDef& member : members) {
+  for (const odb::MemberDef& member : layout->members) {
     if (member.access == odb::Access::kPublic) out.push_back(member.name);
   }
   return out;
@@ -111,10 +111,10 @@ Result<std::vector<std::string>> SynthesizeDisplayList(
 
 Result<std::vector<std::string>> SynthesizeSelectList(
     const odb::Schema& schema, const std::string& class_name) {
-  ODE_ASSIGN_OR_RETURN(std::vector<odb::MemberDef> members,
-                       schema.AllMembers(class_name));
+  ODE_ASSIGN_OR_RETURN(const odb::ClassLayout* layout,
+                       schema.Layout(class_name));
   std::vector<std::string> out;
-  for (const odb::MemberDef& member : members) {
+  for (const odb::MemberDef& member : layout->members) {
     if (member.access == odb::Access::kPublic && IsScalar(member.type)) {
       out.push_back(member.name);
     }

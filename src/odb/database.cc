@@ -154,11 +154,7 @@ Status Database::DefineSchema(std::string_view ddl) {
   WalTransactionScope txn(wal_.get(), &wal_txn_mu_);
   BumpMutationEpoch();
   ODE_ASSIGN_OR_RETURN(Schema parsed, ParseSchema(ddl));
-  for (const ClassDef& def : parsed.classes()) {
-    ODE_RETURN_IF_ERROR(AddClassInternal(def, /*persist=*/false));
-  }
-  ODE_RETURN_IF_ERROR(catalog_->mutable_schema()->Validate());
-  ODE_RETURN_IF_ERROR(catalog_->Persist());
+  ODE_RETURN_IF_ERROR(AddClassesLocked(parsed.classes()));
   return txn.Commit();
 }
 
@@ -166,33 +162,44 @@ Status Database::AddClass(ClassDef def) {
   WriterMutexLock lock(schema_mu_);
   WalTransactionScope txn(wal_.get(), &wal_txn_mu_);
   BumpMutationEpoch();
-  ODE_RETURN_IF_ERROR(AddClassInternal(std::move(def), /*persist=*/true));
+  std::vector<ClassDef> defs;
+  defs.push_back(std::move(def));
+  ODE_RETURN_IF_ERROR(AddClassesLocked(std::move(defs)));
   return txn.Commit();
 }
 
-Status Database::AddClassInternal(ClassDef def, bool persist) {
-  bool persistent = def.persistent;
-  std::string class_name = def.name;
-  ODE_RETURN_IF_ERROR(catalog_->mutable_schema()->AddClass(std::move(def)));
-  if (persistent) {
-    ODE_ASSIGN_OR_RETURN(HeapFile heap, HeapFile::Create(pool_.get(), catalog_->free_list()));
-    PageId first_page = heap.first_page();
-    Result<ClusterId> id = catalog_->AddCluster(class_name, first_page);
-    if (!id.ok()) {
-      (void)catalog_->mutable_schema()->DropClass(class_name);
+Status Database::AddClassesLocked(std::vector<ClassDef> defs) {
+  // Validate the combined schema before touching the catalog, so a
+  // rejected definition leaves no class and no cluster behind.
+  Schema combined = schema();
+  const size_t first_new = combined.size();
+  ODE_RETURN_IF_ERROR(combined.AddClasses(std::move(defs)));
+  ODE_RETURN_IF_ERROR(combined.Validate());
+  std::vector<std::pair<ClusterId, const std::string*>> created;
+  for (size_t i = first_new; i < combined.size(); ++i) {
+    const ClassDef& def = combined.classes()[i];
+    if (!def.persistent) continue;
+    Result<HeapFile> heap =
+        HeapFile::Create(pool_.get(), catalog_->free_list());
+    Result<ClusterId> id =
+        heap.ok() ? catalog_->AddCluster(def.name, heap->first_page())
+                  : Result<ClusterId>(heap.status());
+    MutexLock guard(heaps_mu_);
+    if (!id.ok()) {  // an I/O fault: drop this batch's clusters again
+      for (const auto& [done, name] : created) {
+        heaps_.erase(done);
+        (void)catalog_->RemoveCluster(*name);
+      }
       return id.status();
     }
     // Wire access-observatory attribution before the heap becomes
     // reachable (publication under heaps_mu_ orders the plain stores).
-    heap.SetAccessAttribution(*id, obs::Journal::InternLabel(class_name));
-    MutexLock guard(heaps_mu_);
-    heaps_.emplace(*id, std::move(heap));
+    heap->SetAccessAttribution(*id, obs::Journal::InternLabel(def.name));
+    heaps_.emplace(*id, std::move(*heap));
+    created.emplace_back(*id, &def.name);
   }
-  if (persist) {
-    ODE_RETURN_IF_ERROR(catalog_->mutable_schema()->Validate());
-    return catalog_->Persist();
-  }
-  return Status::OK();
+  *catalog_->mutable_schema() = std::move(combined);
+  return catalog_->Persist();
 }
 
 Status Database::AlterClass(ClassDef def) {
@@ -222,8 +229,8 @@ Status Database::AlterClass(ClassDef def) {
   for (const std::string& cls : affected) {
     Result<const ClusterInfo*> info = catalog_->FindCluster(cls);
     if (!info.ok()) continue;  // transient class
-    ODE_ASSIGN_OR_RETURN(std::vector<MemberDef> members,
-                         schema().AllMembers(cls));
+    ODE_ASSIGN_OR_RETURN(const ClassLayout* layout, schema().Layout(cls));
+    const std::vector<MemberDef>& members = layout->members;
     ODE_ASSIGN_OR_RETURN(HeapFile * heap, GetHeap((*info)->id));
     for (uint64_t local : heap->AllIds()) {
       ODE_ASSIGN_OR_RETURN(std::string bytes, heap->Get(local));
@@ -335,30 +342,16 @@ Result<HeapFile*> Database::GetHeap(ClusterId id) {
   return &pos->second;
 }
 
-Result<std::vector<const ConstraintDef*>> Database::EffectiveConstraints(
-    const std::string& class_name) const {
+template <typename T>
+Result<std::vector<const T*>> Database::Inherited(
+    const std::string& class_name, std::vector<T> ClassDef::*list) const {
   ODE_ASSIGN_OR_RETURN(const ClassDef* def, schema().GetClass(class_name));
-  std::vector<const ConstraintDef*> out;
-  for (const ConstraintDef& c : def->constraints) out.push_back(&c);
-  ODE_ASSIGN_OR_RETURN(std::vector<std::string> ancestors,
-                       schema().Ancestors(class_name));
-  for (const std::string& a : ancestors) {
+  ODE_ASSIGN_OR_RETURN(const ClassLayout* layout, schema().Layout(class_name));
+  std::vector<const T*> out;
+  for (const T& item : def->*list) out.push_back(&item);
+  for (const std::string& a : layout->ancestors) {
     ODE_ASSIGN_OR_RETURN(const ClassDef* base, schema().GetClass(a));
-    for (const ConstraintDef& c : base->constraints) out.push_back(&c);
-  }
-  return out;
-}
-
-Result<std::vector<const TriggerDef*>> Database::EffectiveTriggers(
-    const std::string& class_name) const {
-  ODE_ASSIGN_OR_RETURN(const ClassDef* def, schema().GetClass(class_name));
-  std::vector<const TriggerDef*> out;
-  for (const TriggerDef& t : def->triggers) out.push_back(&t);
-  ODE_ASSIGN_OR_RETURN(std::vector<std::string> ancestors,
-                       schema().Ancestors(class_name));
-  for (const std::string& a : ancestors) {
-    ODE_ASSIGN_OR_RETURN(const ClassDef* base, schema().GetClass(a));
-    for (const TriggerDef& t : base->triggers) out.push_back(&t);
+    for (const T& item : base->*list) out.push_back(&item);
   }
   return out;
 }
@@ -366,7 +359,7 @@ Result<std::vector<const TriggerDef*>> Database::EffectiveTriggers(
 Status Database::CheckConstraints(const std::string& class_name,
                                   const Value& value) {
   ODE_ASSIGN_OR_RETURN(std::vector<const ConstraintDef*> constraints,
-                       EffectiveConstraints(class_name));
+                       Inherited(class_name, &ClassDef::constraints));
   for (const ConstraintDef* c : constraints) {
     const Predicate* pred = nullptr;
     {
@@ -394,7 +387,7 @@ Status Database::CheckConstraints(const std::string& class_name,
 Status Database::FireTriggers(const std::string& class_name, Oid oid,
                               TriggerEvent event, const Value& value) {
   ODE_ASSIGN_OR_RETURN(std::vector<const TriggerDef*> triggers,
-                       EffectiveTriggers(class_name));
+                       Inherited(class_name, &ClassDef::triggers));
   for (const TriggerDef* t : triggers) {
     if (t->event != event) continue;
     bool fires = true;

@@ -118,7 +118,8 @@ class Session;
 /// `Sync()` take an exclusive lock that drains all in-flight object
 /// operations first. Accessors returning references into internal
 /// state (`schema()`, `trigger_log()`) are only stable while no
-/// concurrent schema change / DML runs.
+/// concurrent schema change / DML runs; the same holds for a
+/// `schema().Layout()` pointer, which the next schema change replaces.
 class Database {
  public:
   /// Creates a volatile database (MemPager).
@@ -346,8 +347,9 @@ class Database {
   Result<std::vector<Oid>> ScanClusterUnlocked(const std::string& class_name)
       ODE_REQUIRES_SHARED(schema_mu_);
 
-  /// Adds one class + cluster; optionally validates and persists.
-  Status AddClassInternal(ClassDef def, bool persist)
+  /// Adds classes, each persistent one with its cluster, and persists
+  /// the catalog; a rejected batch leaves the catalog untouched.
+  Status AddClassesLocked(std::vector<ClassDef> defs)
       ODE_REQUIRES(schema_mu_);
 
   /// Checkpoint body (callers hold `schema_mu_` in either mode).
@@ -368,12 +370,11 @@ class Database {
                       TriggerEvent event, const Value& value)
       ODE_REQUIRES_SHARED(schema_mu_);
 
-  /// All constraint/trigger definitions effective for a class
-  /// (own + inherited).
-  Result<std::vector<const ConstraintDef*>> EffectiveConstraints(
-      const std::string& class_name) const;
-  Result<std::vector<const TriggerDef*>> EffectiveTriggers(
-      const std::string& class_name) const;
+  /// The class's own `list` entries, then each ancestor's, nearest
+  /// first (constraints and triggers are inherited).
+  template <typename T>
+  Result<std::vector<const T*>> Inherited(
+      const std::string& class_name, std::vector<T> ClassDef::*list) const;
 
   std::unique_ptr<Pager> pager_;
   std::unique_ptr<BufferPool> pool_;

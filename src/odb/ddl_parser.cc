@@ -17,11 +17,13 @@ class DdlParser {
       : input_(input), cursor_(std::move(tokens)) {}
 
   Result<Schema> ParseAll() {
-    Schema schema;
+    std::vector<ClassDef> defs;
     while (!cursor_.AtEnd()) {
       ODE_ASSIGN_OR_RETURN(ClassDef def, ParseClass());
-      ODE_RETURN_IF_ERROR(schema.AddClass(std::move(def)));
+      defs.push_back(std::move(def));
     }
+    Schema schema;
+    ODE_RETURN_IF_ERROR(schema.AddClasses(std::move(defs)));
     return schema;
   }
 

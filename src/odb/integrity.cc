@@ -34,11 +34,11 @@ Status WalkValue(Database* db, Oid holder, const std::string& path,
       // The stored ref class should equal the target's actual class or
       // one of its ancestors (the ref may be held through a base type).
       if (target->class_name != value.RefClass()) {
-        Result<std::vector<std::string>> ancestors =
-            db->schema().Ancestors(target->class_name);
+        Result<const ClassLayout*> layout =
+            db->schema().Layout(target->class_name);
         bool compatible = false;
-        if (ancestors.ok()) {
-          for (const std::string& a : *ancestors) {
+        if (layout.ok()) {
+          for (const std::string& a : (*layout)->ancestors) {
             compatible = compatible || a == value.RefClass();
           }
         }

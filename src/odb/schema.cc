@@ -1,7 +1,5 @@
 #include "odb/schema.h"
 
-#include <deque>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "common/coding.h"
@@ -68,7 +66,7 @@ bool operator==(const TypeRef& a, const TypeRef& b) {
   return a.element == nullptr || *a.element == *b.element;
 }
 
-const MemberDef* ClassDef::FindMember(std::string_view member_name) const {
+const MemberDef* ClassLayout::FindMember(std::string_view member_name) const {
   for (const MemberDef& m : members) {
     if (m.name == member_name) return &m;
   }
@@ -80,22 +78,109 @@ int Schema::IndexOf(std::string_view name) const {
   return it == index_.end() ? -1 : it->second;
 }
 
-void Schema::RebuildIndex() {
+void Schema::Rebuild() {
+  const int n = static_cast<int>(classes_.size());
   index_.clear();
-  for (size_t i = 0; i < classes_.size(); ++i) {
-    index_[classes_[i].name] = static_cast<int>(i);
+  for (int i = 0; i < n; ++i) index_[classes_[i].name] = i;
+  // Base names resolved to ids once. A dangling name gets one id past
+  // the classes, so it is listed by name but never walked.
+  std::map<std::string_view, int> ids(index_.begin(), index_.end());
+  std::vector<const std::string*> names;  // id -> name
+  for (const ClassDef& def : classes_) names.push_back(&def.name);
+  std::vector<std::vector<int>> bases(classes_.size());
+  for (int i = 0; i < n; ++i) {
+    for (const std::string& base : classes_[i].bases) {
+      auto [it, fresh] = ids.try_emplace(base, static_cast<int>(names.size()));
+      if (fresh) names.push_back(&base);
+      bases[i].push_back(it->second);
+    }
+  }
+  layouts_.assign(classes_.size(), ClassLayout{});
+  cyclic_ = false;
+
+  // Members, in the post-order of an explicit-stack DFS over base edges:
+  // a base's members are final before any class inherits them, and no
+  // recursion deepens with a chain. A base still on the stack closes a
+  // cycle, and nothing is inherited through that edge.
+  enum class Mark : uint8_t { kNew, kOnStack, kDone };
+  std::vector<Mark> mark(classes_.size(), Mark::kNew);
+  std::vector<std::pair<int, size_t>> stack;  // class, next base
+  for (int root = 0; root < n; ++root) {
+    if (mark[root] == Mark::kNew) stack.emplace_back(root, 0);
+    while (!stack.empty()) {
+      const auto [cls, next] = stack.back();
+      mark[cls] = Mark::kOnStack;
+      if (next < bases[cls].size()) {
+        ++stack.back().second;
+        const int base = bases[cls][next];
+        cyclic_ = cyclic_ || (base < n && mark[base] == Mark::kOnStack);
+        if (base < n && mark[base] == Mark::kNew) stack.emplace_back(base, 0);
+        continue;
+      }
+      stack.pop_back();
+      const ClassDef& def = classes_[cls];
+      std::vector<MemberDef>& members = layouts_[cls].members;
+      std::unordered_set<std::string_view> seen;  // derived shadows base
+      for (const MemberDef& m : def.members) seen.insert(m.name);
+      for (int base : bases[cls]) {
+        if (base >= n || mark[base] != Mark::kDone) continue;
+        for (const MemberDef& m : layouts_[base].members) {
+          if (seen.insert(m.name).second) members.push_back(m);
+        }
+      }
+      members.insert(members.end(), def.members.begin(), def.members.end());
+      mark[cls] = Mark::kDone;
+    }
+  }
+
+  // Ancestors and lists: one BFS per class over the resolved ids.
+  std::vector<int> reached_by(names.size(), -1);
+  std::vector<int> order;  // the class, then its ancestors
+  for (int cls = 0; cls < n; ++cls) {
+    ClassLayout& layout = layouts_[cls];
+    reached_by[cls] = cls;
+    order.assign(1, cls);
+    for (size_t head = 0; head < order.size(); ++head) {
+      if (order[head] >= n) continue;
+      for (int base : bases[order[head]]) {
+        if (reached_by[base] == cls) continue;
+        reached_by[base] = cls;
+        order.push_back(base);
+        layout.ancestors.push_back(*names[base]);
+      }
+    }
+    auto effective = [&](std::vector<std::string> ClassDef::*list) {
+      for (int id : order) {
+        if (id < n && !(classes_[id].*list).empty()) {
+          return classes_[id].*list;
+        }
+      }
+      return std::vector<std::string>{};
+    };
+    layout.displaylist = effective(&ClassDef::displaylist);
+    layout.selectlist = effective(&ClassDef::selectlist);
   }
 }
 
 Status Schema::AddClass(ClassDef def) {
-  if (def.name.empty()) {
-    return Status::InvalidArgument("class name must be non-empty");
+  std::vector<ClassDef> defs;
+  defs.push_back(std::move(def));
+  return AddClasses(std::move(defs));
+}
+
+Status Schema::AddClasses(std::vector<ClassDef> defs) {
+  std::unordered_set<std::string_view> batch;
+  for (const ClassDef& def : defs) {
+    if (def.name.empty()) {
+      return Status::InvalidArgument("class name must be non-empty");
+    }
+    if (IndexOf(def.name) >= 0 || !batch.insert(def.name).second) {
+      return Status::AlreadyExists("class '" + def.name + "' already defined");
+    }
   }
-  if (IndexOf(def.name) >= 0) {
-    return Status::AlreadyExists("class '" + def.name + "' already defined");
-  }
-  index_[def.name] = static_cast<int>(classes_.size());
-  classes_.push_back(std::move(def));
+  classes_.insert(classes_.end(), std::make_move_iterator(defs.begin()),
+                  std::make_move_iterator(defs.end()));
+  Rebuild();
   return Status::OK();
 }
 
@@ -131,7 +216,7 @@ Status Schema::DropClass(std::string_view name) {
     }
   }
   classes_.erase(classes_.begin() + idx);
-  RebuildIndex();
+  Rebuild();
   return Status::OK();
 }
 
@@ -139,6 +224,7 @@ Status Schema::ReplaceClass(ClassDef def) {
   int idx = IndexOf(def.name);
   if (idx < 0) return Status::NotFound("class '" + def.name + "'");
   classes_[static_cast<size_t>(idx)] = std::move(def);
+  Rebuild();
   return Status::OK();
 }
 
@@ -150,6 +236,12 @@ Result<const ClassDef*> Schema::GetClass(std::string_view name) const {
   int idx = IndexOf(name);
   if (idx < 0) return Status::NotFound("class '" + std::string(name) + "'");
   return &classes_[static_cast<size_t>(idx)];
+}
+
+Result<const ClassLayout*> Schema::Layout(std::string_view name) const {
+  int idx = IndexOf(name);
+  if (idx < 0) return Status::NotFound("class '" + std::string(name) + "'");
+  return &layouts_[static_cast<size_t>(idx)];
 }
 
 Result<std::vector<std::string>> Schema::DirectSuperclasses(
@@ -175,102 +267,20 @@ Result<std::vector<std::string>> Schema::DirectSubclasses(
   return subs;
 }
 
-namespace {
-/// BFS over base (up=true) or derived (up=false) edges.
-Result<std::vector<std::string>> Closure(const Schema& schema,
-                                         std::string_view start, bool up) {
-  std::vector<std::string> out;
-  std::unordered_set<std::string> seen;
-  std::deque<std::string> queue;
-  queue.emplace_back(start);
-  seen.insert(std::string(start));
-  while (!queue.empty()) {
-    std::string cur = std::move(queue.front());
-    queue.pop_front();
-    Result<std::vector<std::string>> next =
-        up ? schema.DirectSuperclasses(cur) : schema.DirectSubclasses(cur);
-    if (!next.ok()) {
-      // A dangling base name: report only if it is the start class.
-      if (cur == start) return next.status();
-      continue;
-    }
-    for (const std::string& n : *next) {
-      if (seen.insert(n).second) {
-        out.push_back(n);
-        queue.push_back(n);
-      }
-    }
-  }
-  return out;
-}
-}  // namespace
-
-Result<std::vector<std::string>> Schema::Ancestors(
-    std::string_view name) const {
-  return Closure(*this, name, /*up=*/true);
-}
-
 Result<std::vector<std::string>> Schema::Descendants(
     std::string_view name) const {
-  return Closure(*this, name, /*up=*/false);
-}
-
-Result<std::vector<MemberDef>> Schema::AllMembers(
-    std::string_view name) const {
-  ODE_ASSIGN_OR_RETURN(const ClassDef* def, GetClass(name));
-  std::vector<MemberDef> out;
-  std::unordered_set<std::string> seen;  // derived shadows base
-  // Collect own members first to know which base members are shadowed,
-  // but emit base members first (base-first declaration order).
-  for (const MemberDef& m : def->members) seen.insert(m.name);
-  for (const std::string& base : def->bases) {
-    Result<std::vector<MemberDef>> inherited = AllMembers(base);
-    if (!inherited.ok()) continue;  // dangling base: tolerated here
-    for (MemberDef& m : *inherited) {
-      if (seen.insert(m.name).second) out.push_back(std::move(m));
+  ODE_RETURN_IF_ERROR(GetClass(name).status());
+  std::vector<std::string> out;
+  std::unordered_set<std::string> seen{std::string(name)};
+  // BFS: round 0 expands `name`, round k the k-th descendant found.
+  for (size_t head = 0; head <= out.size(); ++head) {
+    std::vector<std::string> subs = *DirectSubclasses(
+        head == 0 ? name : std::string_view(out[head - 1]));
+    for (std::string& sub : subs) {
+      if (seen.insert(sub).second) out.push_back(std::move(sub));
     }
   }
-  for (const MemberDef& m : def->members) out.push_back(m);
   return out;
-}
-
-namespace {
-/// Returns the class's own list, or the first non-empty list found on
-/// a breadth-first walk of its bases.
-Result<std::vector<std::string>> EffectiveList(
-    const Schema& schema, std::string_view name,
-    const std::vector<std::string> ClassDef::* list) {
-  ODE_ASSIGN_OR_RETURN(const ClassDef* def, schema.GetClass(name));
-  if (!(def->*list).empty()) return def->*list;
-  std::deque<std::string> queue(def->bases.begin(), def->bases.end());
-  std::unordered_set<std::string> seen(def->bases.begin(), def->bases.end());
-  while (!queue.empty()) {
-    std::string cur = std::move(queue.front());
-    queue.pop_front();
-    Result<const ClassDef*> base = schema.GetClass(cur);
-    if (!base.ok()) continue;
-    if (!((*base)->*list).empty()) return (*base)->*list;
-    for (const std::string& b : (*base)->bases) {
-      if (seen.insert(b).second) queue.push_back(b);
-    }
-  }
-  return std::vector<std::string>{};
-}
-}  // namespace
-
-Result<std::vector<std::string>> Schema::EffectiveDisplayFormats(
-    std::string_view name) const {
-  return EffectiveList(*this, name, &ClassDef::display_formats);
-}
-
-Result<std::vector<std::string>> Schema::EffectiveDisplayList(
-    std::string_view name) const {
-  return EffectiveList(*this, name, &ClassDef::displaylist);
-}
-
-Result<std::vector<std::string>> Schema::EffectiveSelectList(
-    std::string_view name) const {
-  return EffectiveList(*this, name, &ClassDef::selectlist);
 }
 
 std::vector<std::pair<std::string, std::string>> Schema::InheritanceEdges()
@@ -327,30 +337,7 @@ Status Schema::Validate() const {
       }
     }
   }
-  // Acyclicity via repeated removal of classes with no unprocessed bases.
-  std::unordered_map<std::string, int> in_degree;
-  std::unordered_map<std::string, std::vector<std::string>> children;
-  for (const ClassDef& def : classes_) {
-    in_degree.try_emplace(def.name, 0);
-    for (const std::string& base : def.bases) {
-      ++in_degree[def.name];
-      children[base].push_back(def.name);
-    }
-  }
-  std::deque<std::string> ready;
-  for (const auto& [name, deg] : in_degree) {
-    if (deg == 0) ready.push_back(name);
-  }
-  size_t processed = 0;
-  while (!ready.empty()) {
-    std::string cur = std::move(ready.front());
-    ready.pop_front();
-    ++processed;
-    for (const std::string& child : children[cur]) {
-      if (--in_degree[child] == 0) ready.push_back(child);
-    }
-  }
-  if (processed != classes_.size()) {
+  if (cyclic_) {
     return Status::InvalidArgument("inheritance graph contains a cycle");
   }
   return Status::OK();
@@ -508,11 +495,13 @@ void Schema::Encode(std::string* dst) const {
 Result<Schema> Schema::Decode(Decoder* decoder) {
   uint64_t n = 0;
   ODE_RETURN_IF_ERROR(decoder->GetVarint64(&n));
-  Schema schema;
+  std::vector<ClassDef> defs;
   for (uint64_t i = 0; i < n; ++i) {
     ODE_ASSIGN_OR_RETURN(ClassDef def, DecodeClassDef(decoder));
-    ODE_RETURN_IF_ERROR(schema.AddClass(std::move(def)));
+    defs.push_back(std::move(def));
   }
+  Schema schema;
+  ODE_RETURN_IF_ERROR(schema.AddClasses(std::move(defs)));
   return schema;
 }
 

@@ -129,8 +129,26 @@ struct ClassDef {
   std::vector<TriggerDef> triggers;
   /// Verbatim O++ source, shown by the class-definition window (Fig. 4).
   std::string source;
+};
 
-  /// Finds an own (non-inherited) data member; nullptr when absent.
+/// A class's inheritance, resolved once per schema change so readers
+/// never walk the base graph. Holds values, not pointers into the
+/// schema, so a Schema stays copyable.
+struct ClassLayout {
+  /// Own members plus inherited ones, base-first in declaration order.
+  /// A derived member shadows a base member with the same name, and a
+  /// diamond's shared members appear once.
+  std::vector<MemberDef> members;
+  /// Transitive superclasses in BFS order, without duplicates and
+  /// without the class itself. A dangling base name is listed but not
+  /// walked.
+  std::vector<std::string> ancestors;
+  /// Effective displaylist / selectlist: the class's own list if
+  /// non-empty, else the first non-empty one along `ancestors`.
+  std::vector<std::string> displaylist;
+  std::vector<std::string> selectlist;
+
+  /// Finds a member, own or inherited; nullptr when absent.
   const MemberDef* FindMember(std::string_view member_name) const;
 };
 
@@ -142,6 +160,9 @@ class Schema {
 
   /// Registers a class; fails with AlreadyExists on duplicates.
   Status AddClass(ClassDef def);
+  /// Registers classes in order with one layout rebuild. Every name is
+  /// checked first, so on failure the schema is unchanged.
+  Status AddClasses(std::vector<ClassDef> defs);
 
   /// Removes a class; fails if other classes derive from or reference it.
   Status DropClass(std::string_view name);
@@ -162,23 +183,13 @@ class Schema {
   Result<std::vector<std::string>> DirectSubclasses(
       std::string_view name) const;
 
-  /// Transitive closures (BFS order, no duplicates, excludes `name`).
-  Result<std::vector<std::string>> Ancestors(std::string_view name) const;
+  /// The class's resolved inheritance. Valid until the next mutation
+  /// of this schema.
+  Result<const ClassLayout*> Layout(std::string_view name) const;
+
+  /// Transitive subclasses (BFS order, no duplicates, excludes `name`),
+  /// walked on demand: only schema evolution and deep extents ask.
   Result<std::vector<std::string>> Descendants(std::string_view name) const;
-
-  /// Own members plus inherited ones, base-first in declaration order.
-  /// A derived member shadows a base member with the same name.
-  Result<std::vector<MemberDef>> AllMembers(std::string_view name) const;
-
-  /// Effective display formats / displaylist / selectlist with
-  /// inheritance: a class inherits its bases' lists when it declares
-  /// none of its own.
-  Result<std::vector<std::string>> EffectiveDisplayFormats(
-      std::string_view name) const;
-  Result<std::vector<std::string>> EffectiveDisplayList(
-      std::string_view name) const;
-  Result<std::vector<std::string>> EffectiveSelectList(
-      std::string_view name) const;
 
   /// Inheritance edges (base -> derived), for DAG layout.
   std::vector<std::pair<std::string, std::string>> InheritanceEdges() const;
@@ -195,11 +206,17 @@ class Schema {
 
  private:
   int IndexOf(std::string_view name) const;  // -1 when absent
-  void RebuildIndex();
+  /// Rebuilds `index_`, `layouts_` and `cyclic_`; every mutation ends
+  /// here.
+  void Rebuild();
 
   std::vector<ClassDef> classes_;
-  /// name -> position in classes_ (kept in sync by every mutation).
+  /// Parallel to classes_.
+  std::vector<ClassLayout> layouts_;
+  /// name -> position in classes_.
   std::map<std::string, int, std::less<>> index_;
+  /// Whether the base graph has a cycle (self-derivation included).
+  bool cyclic_ = false;
 };
 
 }  // namespace ode::odb

@@ -1,5 +1,6 @@
 #include "odb/typecheck.h"
 
+#include <algorithm>
 #include <unordered_set>
 
 namespace ode::odb {
@@ -17,12 +18,11 @@ Status Mismatch(std::string_view context, const TypeRef& type,
 bool IsSubclassOf(const Schema& schema, std::string_view candidate,
                   std::string_view base) {
   if (candidate == base) return true;
-  Result<std::vector<std::string>> ancestors = schema.Ancestors(candidate);
-  if (!ancestors.ok()) return false;
-  for (const std::string& a : *ancestors) {
-    if (a == base) return true;
-  }
-  return false;
+  Result<const ClassLayout*> layout = schema.Layout(candidate);
+  if (!layout.ok()) return false;
+  const std::vector<std::string>& ancestors = (*layout)->ancestors;
+  return std::find(ancestors.begin(), ancestors.end(), base) !=
+         ancestors.end();
 }
 
 }  // namespace
@@ -112,10 +112,9 @@ Status TypeCheckObject(const Schema& schema, std::string_view class_name,
                                    std::string(class_name) +
                                    "' must be a struct value");
   }
-  ODE_ASSIGN_OR_RETURN(std::vector<MemberDef> members,
-                       schema.AllMembers(class_name));
+  ODE_ASSIGN_OR_RETURN(const ClassLayout* layout, schema.Layout(class_name));
   std::unordered_set<std::string> declared;
-  for (const MemberDef& m : members) {
+  for (const MemberDef& m : layout->members) {
     declared.insert(m.name);
     const Value* field = value.FindField(m.name);
     if (field == nullptr) {
@@ -144,11 +143,10 @@ Result<Value> DefaultForType(const Schema& schema, const TypeRef& type);
 
 Result<Value> DefaultInstance(const Schema& schema,
                               std::string_view class_name) {
-  ODE_ASSIGN_OR_RETURN(std::vector<MemberDef> members,
-                       schema.AllMembers(class_name));
+  ODE_ASSIGN_OR_RETURN(const ClassLayout* layout, schema.Layout(class_name));
   std::vector<Value::Field> fields;
-  fields.reserve(members.size());
-  for (const MemberDef& m : members) {
+  fields.reserve(layout->members.size());
+  for (const MemberDef& m : layout->members) {
     ODE_ASSIGN_OR_RETURN(Value v, DefaultForType(schema, m.type));
     fields.push_back({m.name, std::move(v)});
   }

@@ -95,7 +95,11 @@ int LayoutButtonRow(owl::Widget* parent, int y,
 
 BrowseNode::BrowseNode(BrowseContext* context, BrowseNodeKind kind,
                        std::string class_name)
-    : context_(context), kind_(kind), class_name_(std::move(class_name)) {}
+    : context_(context),
+      kind_(kind),
+      class_name_(std::move(class_name)),
+      state_(context->display_states->StateFor(context->db_name,
+                                               class_name_)) {}
 
 BrowseNode::~BrowseNode() {
   children_.clear();  // children release their windows first
@@ -128,8 +132,8 @@ Result<odb::ObjectBuffer> BrowseNode::Current() const {
   return *current_;
 }
 
-ClusterDisplayState* BrowseNode::state() const {
-  return context_->display_states->StateFor(context_->db_name, class_name_);
+Result<const odb::ClassLayout*> BrowseNode::Layout() const {
+  return context_->db->schema().Layout(class_name_);
 }
 
 Result<odb::ObjectBuffer> BrowseNode::FetchObject(odb::Oid oid) const {
@@ -296,24 +300,20 @@ std::vector<std::string> BrowseNode::AvailableFormats() const {
 }
 
 Result<std::vector<std::string>> BrowseNode::DisplayList() const {
-  ODE_ASSIGN_OR_RETURN(std::vector<std::string> list,
-                       context_->db->schema().EffectiveDisplayList(
-                           class_name_));
-  if (!list.empty()) return list;
+  ODE_ASSIGN_OR_RETURN(const odb::ClassLayout* layout, Layout());
+  if (!layout->displaylist.empty()) return layout->displaylist;
   return dynlink::SynthesizeDisplayList(context_->db->schema(),
                                         class_name_);
 }
 
 Result<std::vector<std::string>> BrowseNode::SelectList() const {
-  ODE_ASSIGN_OR_RETURN(std::vector<std::string> list,
-                       context_->db->schema().EffectiveSelectList(
-                           class_name_));
-  if (!list.empty()) return list;
+  ODE_ASSIGN_OR_RETURN(const odb::ClassLayout* layout, Layout());
+  if (!layout->selectlist.empty()) return layout->selectlist;
   return dynlink::SynthesizeSelectList(context_->db->schema(), class_name_);
 }
 
 const std::vector<bool>& BrowseNode::projection_mask() const {
-  return state()->projection_mask;
+  return state_->projection_mask;
 }
 
 Status BrowseNode::SetProjection(const std::vector<std::string>& attrs) {
@@ -325,12 +325,12 @@ Status BrowseNode::SetProjection(const std::vector<std::string>& attrs) {
                                      class_name_ + "'");
     }
   }
-  state()->projection_mask = BuildProjectionMask(list, attrs);
+  state_->projection_mask = BuildProjectionMask(list, attrs);
   return RefreshSelf();
 }
 
 Status BrowseNode::ClearProjection() {
-  state()->projection_mask.clear();
+  state_->projection_mask.clear();
   return RefreshSelf();
 }
 
@@ -491,7 +491,7 @@ Status BrowseNode::PropagateCascade() {
 }
 
 bool BrowseNode::IsFormatOpen(const std::string& format) const {
-  return state()->IsOpen(format);
+  return state_->IsOpen(format);
 }
 
 owl::WindowId BrowseNode::DisplayWindow(const std::string& format) const {
@@ -509,7 +509,7 @@ Status BrowseNode::ToggleFormat(const std::string& format) {
     return Status::NotFound("class '" + class_name_ +
                             "' has no display format '" + format + "'");
   }
-  bool now_open = state()->Toggle(format);
+  bool now_open = state_->Toggle(format);
   if (!now_open) {
     auto it = display_windows_.find(format);
     if (it != display_windows_.end()) {
@@ -555,7 +555,7 @@ Status BrowseNode::RenderFormat(const std::string& format) {
       .counter("display.dispatch." + actual_class)
       ->Increment();
   Result<dynlink::DisplayResources> resources =
-      (*fn)(*current_, attributes, state()->projection_mask);
+      (*fn)(*current_, attributes, state_->projection_mask);
   if (!resources.ok()) {
     if (resources.status().IsDisplayFault()) {
       return MarkFaulted(format, resources.status().message());
@@ -670,16 +670,16 @@ Status BrowseNode::RefreshSelf() {
     for (const std::string& format : AvailableFormats()) {
       if (auto* button = dynamic_cast<owl::Button*>(
               panel->FindWidget("fmt:" + format))) {
-        button->set_toggled(state()->IsOpen(format));
+        button->set_toggled(state_->IsOpen(format));
       }
     }
   }
   // Lazy-refresh savings: display windows that exist but are closed
   // are left stale instead of re-rendered.
   for (const auto& [format, id] : display_windows_) {
-    if (!state()->IsOpen(format)) WindowsSkipped().Increment();
+    if (!state_->IsOpen(format)) WindowsSkipped().Increment();
   }
-  for (const std::string& format : state()->open_formats) {
+  for (const std::string& format : state_->open_formats) {
     ODE_RETURN_IF_ERROR(RenderFormat(format));
     WindowsRendered().Increment();
     if (faulted_) break;
@@ -732,10 +732,9 @@ Status BrowseNode::OpenVersionsWindow() {
 }
 
 Result<std::vector<std::string>> BrowseNode::ReferenceMembers() const {
-  ODE_ASSIGN_OR_RETURN(std::vector<odb::MemberDef> members,
-                       context_->db->schema().AllMembers(class_name_));
+  ODE_ASSIGN_OR_RETURN(const odb::ClassLayout* layout, Layout());
   std::vector<std::string> out;
-  for (const odb::MemberDef& member : members) {
+  for (const odb::MemberDef& member : layout->members) {
     if (member.type.kind == odb::TypeRef::Kind::kRef &&
         member.access == odb::Access::kPublic) {
       out.push_back(member.name);
@@ -745,10 +744,9 @@ Result<std::vector<std::string>> BrowseNode::ReferenceMembers() const {
 }
 
 Result<std::vector<std::string>> BrowseNode::ReferenceSetMembers() const {
-  ODE_ASSIGN_OR_RETURN(std::vector<odb::MemberDef> members,
-                       context_->db->schema().AllMembers(class_name_));
+  ODE_ASSIGN_OR_RETURN(const odb::ClassLayout* layout, Layout());
   std::vector<std::string> out;
-  for (const odb::MemberDef& member : members) {
+  for (const odb::MemberDef& member : layout->members) {
     if (member.type.kind == odb::TypeRef::Kind::kSet &&
         member.type.element != nullptr &&
         member.type.element->kind == odb::TypeRef::Kind::kRef &&
@@ -790,12 +788,8 @@ Result<BrowseNode*> BrowseNode::FollowReference(const std::string& member) {
     return Status::FailedPrecondition(
         "select an object before following its references");
   }
-  ODE_ASSIGN_OR_RETURN(std::vector<odb::MemberDef> members,
-                       context_->db->schema().AllMembers(class_name_));
-  const odb::MemberDef* def = nullptr;
-  for (const odb::MemberDef& m : members) {
-    if (m.name == member) def = &m;
-  }
+  ODE_ASSIGN_OR_RETURN(const odb::ClassLayout* layout, Layout());
+  const odb::MemberDef* def = layout->FindMember(member);
   if (def == nullptr || def->type.kind != odb::TypeRef::Kind::kRef) {
     return Status::InvalidArgument("'" + member +
                                    "' is not a reference member of '" +
@@ -822,12 +816,8 @@ Result<BrowseNode*> BrowseNode::FollowReferenceSet(
     return Status::FailedPrecondition(
         "select an object before following its references");
   }
-  ODE_ASSIGN_OR_RETURN(std::vector<odb::MemberDef> members,
-                       context_->db->schema().AllMembers(class_name_));
-  const odb::MemberDef* def = nullptr;
-  for (const odb::MemberDef& m : members) {
-    if (m.name == member) def = &m;
-  }
+  ODE_ASSIGN_OR_RETURN(const odb::ClassLayout* layout, Layout());
+  const odb::MemberDef* def = layout->FindMember(member);
   if (def == nullptr || def->type.kind != odb::TypeRef::Kind::kSet ||
       def->type.element == nullptr ||
       def->type.element->kind != odb::TypeRef::Kind::kRef) {
@@ -936,7 +926,7 @@ Status BrowseNode::MarkFaulted(const std::string& format,
   // The crashed display is no longer part of the cluster's display
   // state (its simulated process died), so a restarted interactor does
   // not immediately crash again.
-  if (state()->IsOpen(format)) (void)state()->Toggle(format);
+  if (state_->IsOpen(format)) (void)state_->Toggle(format);
   ODE_LOG(Warning) << "object-interactor fault for class '" << class_name_
                    << "': " << message;
   SetLabel(context_->server, panel_window_, "status",

@@ -182,8 +182,9 @@ class BrowseNode {
   /// Renders one format into its window (creating it if needed).
   Status RenderFormat(const std::string& format);
   Status MarkFaulted(const std::string& format, const std::string& message);
-  /// The display state entry of this node's cluster.
-  ClusterDisplayState* state() const;
+  /// The class's resolved inheritance, looked up per call so a node
+  /// refreshed after a schema change sees the new layout.
+  Result<const odb::ClassLayout*> Layout() const;
   /// Object fetches routed through the context's session when present.
   Result<odb::ObjectBuffer> FetchObject(odb::Oid oid) const;
   Result<odb::ObjectBuffer> FetchObjectVersion(odb::Oid oid,
@@ -203,6 +204,9 @@ class BrowseNode {
   std::string class_name_;
   std::string member_name_;  // reference kinds
   BrowseNode* parent_ = nullptr;
+  /// The display state of this node's cluster (registry entries are
+  /// never erased, so the pointer is stable).
+  ClusterDisplayState* state_;
 
   // Cluster-set state.
   std::optional<odb::ObjectCursor> cursor_;

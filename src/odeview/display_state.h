@@ -26,7 +26,8 @@ struct ClusterDisplayState {
   bool Toggle(const std::string& format);
 };
 
-/// Registry of display states, keyed by (database, class).
+/// Registry of display states, keyed by (database, class). Entries are
+/// never erased, so a state pointer stays valid for the registry's life.
 class DisplayStateRegistry {
  public:
   /// Mutable state for a cluster (created on first access).
@@ -35,7 +36,6 @@ class DisplayStateRegistry {
   const ClusterDisplayState* FindState(const std::string& db_name,
                                        const std::string& class_name) const;
 
-  void Clear() { states_.clear(); }
   size_t size() const { return states_.size(); }
 
  private:

@@ -1,4 +1,6 @@
 #include <cstdio>
+#include <functional>
+#include <map>
 #include <gtest/gtest.h>
 
 #include "odb/database.h"
@@ -63,6 +65,96 @@ TEST(DatabaseTest, DefineSchemaCreatesClusters) {
 TEST(DatabaseTest, DefineSchemaRejectsInvalid) {
   auto db = std::move(*Database::CreateInMemory("bad"));
   EXPECT_FALSE(db->DefineSchema("class a : public ghost {};").ok());
+}
+
+// --- Rejected definitions leave the catalog untouched ---------------------
+
+constexpr char kCyclicDdl[] =
+    "class a : public b { public: int x; }; class b : public a {};";
+// Defines a new class, then redefines an existing one.
+constexpr char kRedefiningDdl[] =
+    "class fresh { public: int y; }; class dept { public: string name; };";
+constexpr char kFollowUpDdl[] = "class later { public: int z; };";
+
+ClassDef OrphanClass() {  // derives from a class that does not exist
+  ClassDef def;
+  def.name = "orphan";
+  def.bases = {"ghost"};
+  return def;
+}
+
+std::map<std::string, ClusterId> ClusterIds(const Database& db) {
+  std::map<std::string, ClusterId> out;
+  for (const ClassDef& def : db.schema().classes()) {
+    Result<ClusterId> id = db.ClusterOf(def.name);
+    if (id.ok()) out[def.name] = *id;
+  }
+  return out;
+}
+
+/// `reject` must fail with `code` and leave the schema and clusters as
+/// they were: a following valid definition gets exactly the clusters it
+/// gets on a database that never saw the rejected one.
+void ExpectRejectedLeavesCatalog(
+    const std::function<Status(Database*)>& reject, StatusCode code) {
+  auto clean = TinyDb();
+  ASSERT_TRUE(clean->DefineSchema(kFollowUpDdl).ok());
+  auto db = TinyDb();
+  std::map<std::string, ClusterId> before = ClusterIds(*db);
+  Status rejected = reject(db.get());
+  EXPECT_EQ(rejected.code(), code) << rejected.ToString();
+  EXPECT_EQ(db->schema().size(), 4u);
+  EXPECT_EQ(ClusterIds(*db), before);
+  ASSERT_TRUE(db->DefineSchema(kFollowUpDdl).ok());
+  EXPECT_EQ(db->schema().size(), 5u);
+  EXPECT_EQ(ClusterIds(*db), ClusterIds(*clean));
+}
+
+TEST(DatabaseTest, RejectedCyclicDdlLeavesCatalog) {
+  ExpectRejectedLeavesCatalog(
+      [](Database* db) { return db->DefineSchema(kCyclicDdl); },
+      StatusCode::kInvalidArgument);
+}
+
+TEST(DatabaseTest, RejectedRedefinitionLeavesCatalog) {
+  ExpectRejectedLeavesCatalog(
+      [](Database* db) { return db->DefineSchema(kRedefiningDdl); },
+      StatusCode::kAlreadyExists);
+}
+
+TEST(DatabaseTest, RejectedUnknownBaseLeavesCatalog) {
+  ExpectRejectedLeavesCatalog(
+      [](Database* db) { return db->AddClass(OrphanClass()); },
+      StatusCode::kInvalidArgument);
+}
+
+TEST(DatabaseTest, RejectedDefinitionsLeaveNothingOnDisk) {
+  std::string path = testing::TempDir() + "/odeview_dbtest_rejected.db";
+  std::remove(path.c_str());
+  std::map<std::string, ClusterId> before;
+  {
+    auto db = std::move(*Database::CreateOnDisk(path, "disk"));
+    ASSERT_TRUE(db->DefineSchema(kTinySchema).ok());
+    before = ClusterIds(*db);
+    EXPECT_FALSE(db->DefineSchema(kCyclicDdl).ok());
+    EXPECT_FALSE(db->DefineSchema(kRedefiningDdl).ok());
+    EXPECT_FALSE(db->AddClass(OrphanClass()).ok());
+    ASSERT_TRUE(db->Sync().ok());
+  }
+  {
+    auto reopened = Database::OpenOnDisk(path);
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    auto& db = *reopened;
+    EXPECT_EQ(db->schema().size(), 4u);
+    for (const char* name : {"a", "b", "fresh", "orphan"}) {
+      EXPECT_FALSE(db->schema().Contains(name)) << name;
+    }
+    EXPECT_EQ(ClusterIds(*db), before);
+    ASSERT_TRUE(db->DefineSchema(kFollowUpDdl).ok());
+    EXPECT_TRUE(db->ClusterOf("later").ok());
+  }
+  std::remove(path.c_str());
+  std::remove((path + ".wal").c_str());
 }
 
 TEST(DatabaseTest, DropClassRequiresEmptyCluster) {

@@ -182,6 +182,39 @@ TEST(AlterClassTest, EvolutionSurvivesReopenFromDisk) {
   std::remove(path.c_str());
 }
 
+TEST(AlterClassTest, LayoutAfterAlterShowsNewMembers) {
+  auto db = FreshDb();
+  auto member_names = [&](const std::string& cls) {
+    std::vector<std::string> names;
+    for (const MemberDef& m : (*db->schema().Layout(cls))->members) {
+      names.push_back(m.name);
+    }
+    return names;
+  };
+  ClassDef updated = *ParseClassDef(R"(
+class person {
+public:
+  string name;
+  int age;
+  string email;
+  displaylist name, email;
+};
+)");
+  ASSERT_TRUE(db->AlterClass(updated).ok());
+  EXPECT_EQ(member_names("person"),
+            (std::vector<std::string>{"name", "age", "email"}));
+  EXPECT_EQ(member_names("student"),
+            (std::vector<std::string>{"name", "age", "email", "school"}));
+  EXPECT_EQ((*db->schema().Layout("student"))->displaylist,
+            (std::vector<std::string>{"name", "email"}));
+  // A rejected alteration leaves the layouts as they were.
+  ClassDef invalid = *ParseClassDef(
+      "class person { public: string name; ghost* g; };");
+  EXPECT_TRUE(db->AlterClass(invalid).IsInvalidArgument());
+  EXPECT_EQ(member_names("student"),
+            (std::vector<std::string>{"name", "age", "email", "school"}));
+}
+
 TEST(AlterClassTest, UnknownClassRejected) {
   auto db = FreshDb();
   ClassDef updated = *ParseClassDef("class ghost { public: int x; };");
@@ -231,6 +264,41 @@ public:
   ASSERT_TRUE(node->Next().ok());
   ASSERT_TRUE(node->has_current());
   EXPECT_NE(node->Current()->value.FindField("status"), nullptr);
+}
+
+TEST(EvolutionInOdeView, RefreshedNodeSeesAlteredMembers) {
+  auto db = std::move(*odb::Database::CreateInMemory("lab"));
+  odb::LabDbConfig config;
+  config.employees = 5;
+  config.managers = 1;
+  ASSERT_TRUE(odb::BuildLabDatabase(db.get(), config).ok());
+  OdeViewApp app(200, 80);
+  ASSERT_TRUE(app.AddDatabaseBorrowed(db.get()).ok());
+  DbInteractor* lab = *app.OpenDatabase("lab");
+  BrowseNode* node = *lab->OpenObjectSet("project");
+  ASSERT_TRUE(node->Next().ok());
+  EXPECT_EQ(*node->ReferenceMembers(), (std::vector<std::string>{"lead"}));
+  odb::ClassDef updated = *odb::ParseClassDef(R"(
+persistent class project {
+public:
+  string title;
+  real budget;
+  employee* lead;
+  employee* reviewer;
+  set<employee*> members;
+  display text;
+  selectlist title, budget, reviewer;
+  constraint budget >= 0;
+};
+)");
+  ASSERT_TRUE(db->AlterClass(updated).ok());
+  ASSERT_TRUE(lab->OnClassChanged("project").ok());
+  // The node holds no layout, so it answers from the altered class.
+  EXPECT_EQ(*node->ReferenceMembers(),
+            (std::vector<std::string>{"lead", "reviewer"}));
+  EXPECT_EQ(*node->SelectList(),
+            (std::vector<std::string>{"title", "budget", "reviewer"}));
+  EXPECT_TRUE(node->FollowReference("reviewer").ok());
 }
 
 }  // namespace

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <unordered_set>
+
 #include "odb/ddl_parser.h"
+#include "odb/labdb.h"
 #include "odb/schema.h"
 
 namespace ode::odb {
@@ -106,7 +110,7 @@ TEST(SchemaTest, DirectSuperAndSubclasses) {
 
 TEST(SchemaTest, TransitiveClosures) {
   Schema schema = DiamondSchema();
-  std::vector<std::string> ancestors = *schema.Ancestors("hybrid");
+  std::vector<std::string> ancestors = (*schema.Layout("hybrid"))->ancestors;
   // person appears once despite the diamond.
   EXPECT_EQ(ancestors.size(), 3u);
   EXPECT_EQ(std::count(ancestors.begin(), ancestors.end(), "person"), 1);
@@ -116,7 +120,7 @@ TEST(SchemaTest, TransitiveClosures) {
 
 TEST(SchemaTest, AllMembersBaseFirstWithShadowing) {
   Schema schema = DiamondSchema();
-  std::vector<MemberDef> members = *schema.AllMembers("hybrid");
+  std::vector<MemberDef> members = (*schema.Layout("hybrid"))->members;
   // person.name, employee.salary, consultant.rate, hybrid.split — with
   // name deduplicated across the diamond.
   ASSERT_EQ(members.size(), 4u);
@@ -134,7 +138,7 @@ TEST(SchemaTest, DerivedMemberShadowsBase) {
   ClassDef derived = SimpleClass("derived", {"base"});
   derived.members.push_back({"tag", TypeRef::String(), Access::kPublic});
   ASSERT_TRUE(schema.AddClass(derived).ok());
-  std::vector<MemberDef> members = *schema.AllMembers("derived");
+  std::vector<MemberDef> members = (*schema.Layout("derived"))->members;
   ASSERT_EQ(members.size(), 1u);
   EXPECT_EQ(members[0].type.kind, TypeRef::Kind::kString);
 }
@@ -150,13 +154,25 @@ TEST(SchemaTest, EffectiveListsInherit) {
   ClassDef leaf = SimpleClass("leaf", {"mid"});
   leaf.displaylist = {"c"};
   ASSERT_TRUE(schema.AddClass(leaf).ok());
-  EXPECT_EQ(*schema.EffectiveDisplayList("mid"),
+  EXPECT_EQ((*schema.Layout("mid"))->displaylist,
             (std::vector<std::string>{"a", "b"}));
-  EXPECT_EQ(*schema.EffectiveDisplayList("leaf"),
+  EXPECT_EQ((*schema.Layout("leaf"))->displaylist,
             (std::vector<std::string>{"c"}));
-  EXPECT_EQ(*schema.EffectiveDisplayFormats("leaf"),
-            (std::vector<std::string>{"text"}));
-  EXPECT_TRUE(schema.EffectiveSelectList("leaf")->empty());
+  EXPECT_TRUE((*schema.Layout("leaf"))->selectlist.empty());
+}
+
+TEST(SchemaTest, AddClassesIsAllOrNothing) {
+  Schema schema = DiamondSchema();
+  std::vector<ClassDef> batch{SimpleClass("fresh"), SimpleClass("person")};
+  EXPECT_EQ(schema.AddClasses(batch).code(), StatusCode::kAlreadyExists);
+  batch = {SimpleClass("twin"), SimpleClass("twin")};
+  EXPECT_EQ(schema.AddClasses(batch).code(), StatusCode::kAlreadyExists);
+  batch = {SimpleClass("fresh"), SimpleClass("")};
+  EXPECT_TRUE(schema.AddClasses(batch).IsInvalidArgument());
+  EXPECT_EQ(schema.size(), 4u);
+  EXPECT_FALSE(schema.Contains("fresh"));
+  EXPECT_FALSE(schema.Contains("twin"));
+  EXPECT_TRUE(schema.Layout("fresh").status().IsNotFound());
 }
 
 TEST(SchemaTest, InheritanceEdges) {
@@ -215,6 +231,190 @@ TEST(SchemaTest, ValidateChecksNestedContainerTypes) {
   def.members.push_back(
       {"rs", TypeRef::Set(TypeRef::Ref("ghost")), Access::kPublic});
   ASSERT_TRUE(schema.AddClass(def).ok());
+  EXPECT_TRUE(schema.Validate().IsInvalidArgument());
+}
+
+// --- Layouts against the walkers they replaced ----------------------------
+//
+// Before layouts, Schema walked inheritance on every call. These are
+// those walkers, kept as the reference: the recursive member merge, the
+// ancestor BFS and the effective-list BFS.
+
+Result<std::vector<MemberDef>> ReferenceAllMembers(const Schema& schema,
+                                                   std::string_view name) {
+  ODE_ASSIGN_OR_RETURN(const ClassDef* def, schema.GetClass(name));
+  std::vector<MemberDef> out;
+  std::unordered_set<std::string> seen;  // derived shadows base
+  for (const MemberDef& m : def->members) seen.insert(m.name);
+  for (const std::string& base : def->bases) {
+    Result<std::vector<MemberDef>> inherited =
+        ReferenceAllMembers(schema, base);
+    if (!inherited.ok()) continue;  // dangling base: tolerated here
+    for (MemberDef& m : *inherited) {
+      if (seen.insert(m.name).second) out.push_back(std::move(m));
+    }
+  }
+  for (const MemberDef& m : def->members) out.push_back(m);
+  return out;
+}
+
+Result<std::vector<std::string>> ReferenceAncestors(const Schema& schema,
+                                                    std::string_view start) {
+  std::vector<std::string> out;
+  std::unordered_set<std::string> seen;
+  std::deque<std::string> queue;
+  queue.emplace_back(start);
+  seen.insert(std::string(start));
+  while (!queue.empty()) {
+    std::string cur = std::move(queue.front());
+    queue.pop_front();
+    Result<std::vector<std::string>> next = schema.DirectSuperclasses(cur);
+    if (!next.ok()) {
+      // A dangling base name: report only if it is the start class.
+      if (cur == start) return next.status();
+      continue;
+    }
+    for (const std::string& n : *next) {
+      if (seen.insert(n).second) {
+        out.push_back(n);
+        queue.push_back(n);
+      }
+    }
+  }
+  return out;
+}
+
+Result<std::vector<std::string>> ReferenceEffectiveList(
+    const Schema& schema, std::string_view name,
+    const std::vector<std::string> ClassDef::*list) {
+  ODE_ASSIGN_OR_RETURN(const ClassDef* def, schema.GetClass(name));
+  if (!(def->*list).empty()) return def->*list;
+  std::deque<std::string> queue(def->bases.begin(), def->bases.end());
+  std::unordered_set<std::string> seen(def->bases.begin(), def->bases.end());
+  while (!queue.empty()) {
+    std::string cur = std::move(queue.front());
+    queue.pop_front();
+    Result<const ClassDef*> base = schema.GetClass(cur);
+    if (!base.ok()) continue;
+    if (!((*base)->*list).empty()) return (*base)->*list;
+    for (const std::string& b : (*base)->bases) {
+      if (seen.insert(b).second) queue.push_back(b);
+    }
+  }
+  return std::vector<std::string>{};
+}
+
+void ExpectLayoutsMatchReference(const Schema& schema) {
+  for (const ClassDef& def : schema.classes()) {
+    SCOPED_TRACE(def.name);
+    Result<const ClassLayout*> layout = schema.Layout(def.name);
+    ASSERT_TRUE(layout.ok()) << layout.status().ToString();
+    std::vector<MemberDef> members = *ReferenceAllMembers(schema, def.name);
+    ASSERT_EQ((*layout)->members.size(), members.size());
+    for (size_t i = 0; i < members.size(); ++i) {
+      EXPECT_EQ((*layout)->members[i].name, members[i].name);
+      EXPECT_EQ((*layout)->members[i].type, members[i].type);
+      EXPECT_EQ((*layout)->members[i].access, members[i].access);
+    }
+    EXPECT_EQ((*layout)->ancestors, *ReferenceAncestors(schema, def.name));
+    EXPECT_EQ((*layout)->displaylist,
+              *ReferenceEffectiveList(schema, def.name,
+                                      &ClassDef::displaylist));
+    EXPECT_EQ((*layout)->selectlist,
+              *ReferenceEffectiveList(schema, def.name,
+                                      &ClassDef::selectlist));
+  }
+}
+
+TEST(SchemaLayoutTest, MatchesReferenceOnLabSchema) {
+  Result<Schema> schema = ParseSchema(LabSchemaDdl());
+  ASSERT_TRUE(schema.ok()) << schema.status().ToString();
+  ExpectLayoutsMatchReference(*schema);
+}
+
+TEST(SchemaLayoutTest, MatchesReferenceOnSyntheticSchemas) {
+  for (uint64_t seed : {7u, 11u, 1990u}) {
+    SCOPED_TRACE(seed);
+    Result<Schema> parsed = ParseSchema(SyntheticSchemaDdl(300, 2, seed));
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    ExpectLayoutsMatchReference(*parsed);
+    // The generated classes all declare the same two members and no
+    // lists. Vary them so shadowing and list inheritance are exercised
+    // on the same DAG.
+    std::vector<ClassDef> defs = parsed->classes();
+    for (size_t i = 0; i < defs.size(); ++i) {
+      if (i % 3 == 0) {
+        defs[i].members.push_back(
+            {"m" + std::to_string(i), TypeRef::Int(), Access::kPrivate});
+      }
+      if (i % 5 == 0) defs[i].members[0].type = TypeRef::Int();  // shadow
+      if (i % 7 == 0) defs[i].displaylist = {"label", std::to_string(i)};
+      if (i % 11 == 0) defs[i].selectlist = {"weight", std::to_string(i)};
+    }
+    Schema varied;
+    ASSERT_TRUE(varied.AddClasses(std::move(defs)).ok());
+    ExpectLayoutsMatchReference(varied);
+  }
+}
+
+TEST(SchemaLayoutTest, MatchesReferenceOnDiamondShadowingAndDanglingBases) {
+  ExpectLayoutsMatchReference(DiamondSchema());
+
+  Schema shadowing;
+  ClassDef base = SimpleClass("base");
+  base.members = {{"tag", TypeRef::Int(), Access::kPublic},
+                  {"keep", TypeRef::Real(), Access::kProtected}};
+  base.selectlist = {"tag"};
+  ASSERT_TRUE(shadowing.AddClass(base).ok());
+  ClassDef derived = SimpleClass("derived", {"base"});
+  derived.members = {{"tag", TypeRef::String(), Access::kPrivate}};
+  ASSERT_TRUE(shadowing.AddClass(derived).ok());
+  ExpectLayoutsMatchReference(shadowing);
+  EXPECT_EQ((*shadowing.Layout("derived"))->members[1].type,
+            TypeRef::String());
+
+  // Dangling bases are listed among the ancestors but not walked; the
+  // ghost is reached twice and listed once.
+  Schema dangling;
+  ClassDef x = SimpleClass("x", {"ghost", "y"});
+  x.members = {{"a", TypeRef::Int(), Access::kPublic}};
+  ASSERT_TRUE(dangling.AddClass(x).ok());
+  ClassDef y = SimpleClass("y", {"ghost", "other_ghost"});
+  y.members = {{"b", TypeRef::Int(), Access::kPublic}};
+  y.displaylist = {"b"};
+  ASSERT_TRUE(dangling.AddClass(y).ok());
+  ExpectLayoutsMatchReference(dangling);
+  EXPECT_EQ((*dangling.Layout("x"))->ancestors,
+            (std::vector<std::string>{"ghost", "y", "other_ghost"}));
+  EXPECT_EQ((*dangling.Layout("x"))->displaylist,
+            (std::vector<std::string>{"b"}));
+}
+
+TEST(SchemaLayoutTest, CyclicAndSelfDerivedClassesTerminate) {
+  // Schemas are built before they are validated (the parser, catalog
+  // decode and DefineSchema all do this), so layouts must survive
+  // cycles that Validate later rejects.
+  Schema schema;
+  std::vector<ClassDef> defs{SimpleClass("a", {"b"}), SimpleClass("b", {"a"}),
+                             SimpleClass("self", {"self"}),
+                             SimpleClass("downstream", {"a", "self"})};
+  for (ClassDef& def : defs) {
+    def.members = {{def.name + "_own", TypeRef::Int(), Access::kPublic},
+                   {"shared", TypeRef::Int(), Access::kPublic}};
+  }
+  ASSERT_TRUE(schema.AddClasses(defs).ok());
+  for (const ClassDef& def : defs) {
+    SCOPED_TRACE(def.name);
+    const ClassLayout* layout = *schema.Layout(def.name);
+    ASSERT_GE(layout->members.size(), def.members.size());
+    size_t own_start = layout->members.size() - def.members.size();
+    for (size_t i = 0; i < def.members.size(); ++i) {
+      EXPECT_EQ(layout->members[own_start + i].name, def.members[i].name);
+    }
+    EXPECT_EQ(std::count(layout->ancestors.begin(), layout->ancestors.end(),
+                         def.name),
+              0);
+  }
   EXPECT_TRUE(schema.Validate().IsInvalidArgument());
 }
 

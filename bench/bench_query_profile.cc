@@ -6,11 +6,14 @@
 //     BENCH_BASELINE.json at 5% tolerance — the "near-zero cost when
 //     disabled" contract.
 //   *_ProfilingOn — an OpProfile attached for the duration: every
-//     charge site pays its relaxed atomic adds.
+//     charge site pays a few plain adds into the calling thread's
+//     profile (a parallel scan also adds each partition's profile into
+//     the caller's after the join).
 //   *_SessionProfiled — the full ProfiledOp path a real session op
-//     takes (fresh profile, session totals merge, slow-op threshold
-//     check). CI gates the on/off ratio instead of absolute time, so
-//     the check is machine-independent (compare_bench.py --ratio).
+//     takes (fresh profile, one relaxed add per non-zero counter into
+//     the session totals, slow-op threshold check). CI gates the on/off
+//     ratio instead of absolute time, so the check is
+//     machine-independent (compare_bench.py --ratio).
 
 #include <benchmark/benchmark.h>
 
@@ -53,7 +56,7 @@ void BM_SelectProfilingOn(benchmark::State& state) {
         ValueOrDie(session.db->Select("employee", predicate), "select"));
   }
   state.counters["rows_scanned"] =
-      static_cast<double>(profile.Snapshot().rows_scanned);
+      static_cast<double>(profile.rows_scanned);
 }
 BENCHMARK(BM_SelectProfilingOn);
 
@@ -91,6 +94,18 @@ void BM_GetObjectProfilingOn(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GetObjectProfilingOn);
+
+// The ladder's session-op rung: the point read every browse fetch makes.
+void BM_GetObjectSessionProfiled(benchmark::State& state) {
+  LabSession session = LabSession::Create(BenchConfig());
+  odb::Oid first =
+      ValueOrDie(session.db->FirstObject("employee"), "first");
+  odb::Session db_session = session.db->OpenSession();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ValueOrDie(db_session.GetObject(first), "get"));
+  }
+}
+BENCHMARK(BM_GetObjectSessionProfiled);
 
 void BM_ParallelScanProfilingOff(benchmark::State& state) {
   LabSession session = LabSession::Create(BenchConfig());

@@ -1,9 +1,12 @@
-/// Fuzzes the O++ DDL front end (lexer + schema parser) and the class
-/// layouts resolved from what it parses. Schema text arrives from users
-/// and from stored catalogs, so arbitrarily nested `set<array<...>>`
-/// types, unterminated tokens and garbage bytes must all come back as
-/// InvalidArgument, and cyclic, self-derived, dangling or very deep base
-/// graphs must still resolve, never as a crash or a stack overflow.
+/// Fuzzes the O++ DDL front end (lexer + schema parser), the class
+/// layouts resolved from what it parses, and the default instance of
+/// every class of a schema that validates. Schema text arrives from
+/// users and from stored catalogs, so arbitrarily nested
+/// `set<array<...>>` types, unterminated tokens and garbage bytes must
+/// all come back as InvalidArgument, cyclic, self-derived, dangling or
+/// very deep base graphs must still resolve, and a class that contains
+/// itself by value must fail validation, never as a crash or a stack
+/// overflow.
 
 #include <cstdint>
 #include <cstdlib>
@@ -11,6 +14,7 @@
 #include <string_view>
 
 #include "odb/ddl_parser.h"
+#include "odb/typecheck.h"
 
 namespace {
 
@@ -46,12 +50,13 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   ode::Result<ode::odb::Schema> schema = ode::odb::ParseSchema(source);
   (void)ode::odb::ParseClassDef(source);
   if (!schema.ok()) return 0;
-  (void)schema->Validate();
+  const bool valid = schema->Validate().ok();
   for (const ode::odb::ClassDef& def : schema->classes()) {
     ode::Result<const ode::odb::ClassLayout*> layout =
         schema->Layout(def.name);
     if (!layout.ok()) std::abort();
     CheckLayout(def, **layout);
+    if (valid) (void)ode::odb::DefaultInstance(*schema, def.name);
   }
   return 0;
 }

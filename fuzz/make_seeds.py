@@ -297,6 +297,17 @@ def ddl_seeds():
         b"class c%d : public c%d { int m%d; };\n" % (i, i - 1, i)
         for i in range(1, 200)
     )
+    # Classes that contain themselves by value: Validate must reject
+    # them, or DefaultInstance recurses until the stack overflows.
+    yield "by_value_self", b"class a { public: a inner; };\n"
+    yield "by_value_mutual", (
+        b"class a { public: b x; };\nclass b { public: a y; };\n"
+    )
+    yield "by_value_array", b"class a { public: a arr[2]; };\n"
+    yield "by_value_subclass", (
+        b"class a { public: b inner; };\n"
+        b"class b : public a { public: int n; };\n"
+    )
 
 
 # --- predicate ---------------------------------------------------------

@@ -1,8 +1,10 @@
 #ifndef ODEVIEW_COMMON_OP_PROFILE_H_
 #define ODEVIEW_COMMON_OP_PROFILE_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -15,10 +17,12 @@
 
 namespace ode::obs {
 
-/// A plain (non-atomic) snapshot of one operation's resource charges —
-/// what EXPLAIN ANALYZE, the slow-op ring, and the session inspector
-/// all render.
-struct OpProfileStats {
+/// One operation's resource charges: the numbers EXPLAIN ANALYZE, the
+/// slow-op ring and the session inspector render. Only the thread
+/// running the operation writes it. A parallel-scan partition charges
+/// a profile of its own, which the caller adds into its profile after
+/// the join (see `OpContext`), so the counters are plain integers.
+struct OpProfile {
   // Buffer pool (storage layer).
   uint64_t pool_lookups = 0;
   uint64_t pool_hits = 0;
@@ -46,97 +50,63 @@ struct OpProfileStats {
   uint64_t wal_commit_wait_ns = 0;  ///< group-commit / fsync waits
   uint64_t wal_bytes_logged = 0;    ///< WAL payload bytes appended
 
-  OpProfileStats& operator+=(const OpProfileStats& other);
+  OpProfile& operator+=(const OpProfile& other);
 };
+
+/// One counter of `OpProfile` and the name its JSON rendering uses.
+struct OpProfileCounter {
+  const char* json_name;
+  uint64_t OpProfile::*member;
+};
+
+/// Every counter of `OpProfile`, in JSON rendering order. Code that
+/// treats the counters alike (adding, rendering, the session totals)
+/// loops over this table instead of naming them.
+inline constexpr OpProfileCounter kOpProfileCounters[] = {
+    {"pool_lookups", &OpProfile::pool_lookups},
+    {"pool_hits", &OpProfile::pool_hits},
+    {"pages_read", &OpProfile::pool_misses},
+    {"pager_reads", &OpProfile::pager_reads},
+    {"pager_writes", &OpProfile::pager_writes},
+    {"heap_records", &OpProfile::heap_records},
+    {"arena_bytes", &OpProfile::arena_bytes},
+    {"cluster_prefetches", &OpProfile::cluster_prefetches},
+    {"rows_scanned", &OpProfile::rows_scanned},
+    {"rows_matched", &OpProfile::rows_matched},
+    {"rows_skipped_decode", &OpProfile::rows_skipped_decode},
+    {"predicate_evals", &OpProfile::predicate_evals},
+    {"batches", &OpProfile::batches},
+    {"partitions", &OpProfile::partitions},
+    {"join_build_rows", &OpProfile::join_build_rows},
+    {"join_probe_rows", &OpProfile::join_probe_rows},
+    {"join_pairs", &OpProfile::join_pairs},
+    {"lock_wait_ns", &OpProfile::lock_wait_ns},
+    {"wal_commit_wait_ns", &OpProfile::wal_commit_wait_ns},
+    {"wal_bytes_logged", &OpProfile::wal_bytes_logged},
+};
+static_assert(sizeof(OpProfile) ==
+                  std::size(kOpProfileCounters) * sizeof(uint64_t),
+              "every OpProfile counter needs a kOpProfileCounters row");
 
 /// Appends `s` as a flat JSON object body (no surrounding braces) —
 /// the shared rendering behind `/sessions`, `/slow`, and EXPLAIN
 /// ANALYZE's JSON output. `pool_misses` is exported as "pages_read".
-void AppendOpProfileStatsJson(std::ostringstream& os, const OpProfileStats& s);
+void AppendOpProfileStatsJson(std::ostringstream& os, const OpProfile& s);
 
-/// The per-operation profiling context every engine layer charges into.
-///
-/// All fields are relaxed atomics: one profile may be charged from many
-/// threads at once (parallel scan partitions adopt the caller's whole
-/// `OpContext`, profile included). Charge sites pay one thread-local
-/// pointer test when no profile is attached — the `CurrentOpProfile()`
-/// null check — and a handful of relaxed adds when one is.
-class OpProfile {
+/// A session's running totals: the one copy of a profile that other
+/// threads read while it grows (the `/sessions` endpoint renders it
+/// while the session's ops add into it), hence atomic.
+class SessionTotals {
  public:
-  OpProfile() = default;
-  OpProfile(const OpProfile&) = delete;
-  OpProfile& operator=(const OpProfile&) = delete;
-
-  // --- Charge helpers (relaxed; callable from any thread) -------------
-  void ChargePoolFetch(bool hit) {
-    pool_lookups_.fetch_add(1, std::memory_order_relaxed);
-    (hit ? pool_hits_ : pool_misses_).fetch_add(1, std::memory_order_relaxed);
-  }
-  void ChargePagerRead() {
-    pager_reads_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void ChargePagerWrite() {
-    pager_writes_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void ChargeHeapBatch(uint64_t records, uint64_t bytes) {
-    heap_records_.fetch_add(records, std::memory_order_relaxed);
-    arena_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-  }
-  void ChargeClusterPrefetch(uint64_t pages) {
-    cluster_prefetches_.fetch_add(pages, std::memory_order_relaxed);
-  }
-  void ChargeScan(uint64_t scanned, uint64_t matched, uint64_t skipped,
-                  uint64_t evals, uint64_t batches, uint64_t partitions) {
-    rows_scanned_.fetch_add(scanned, std::memory_order_relaxed);
-    rows_matched_.fetch_add(matched, std::memory_order_relaxed);
-    rows_skipped_decode_.fetch_add(skipped, std::memory_order_relaxed);
-    predicate_evals_.fetch_add(evals, std::memory_order_relaxed);
-    batches_.fetch_add(batches, std::memory_order_relaxed);
-    partitions_.fetch_add(partitions, std::memory_order_relaxed);
-  }
-  void ChargeJoin(uint64_t build, uint64_t probe, uint64_t pairs) {
-    join_build_rows_.fetch_add(build, std::memory_order_relaxed);
-    join_probe_rows_.fetch_add(probe, std::memory_order_relaxed);
-    join_pairs_.fetch_add(pairs, std::memory_order_relaxed);
-  }
-  void ChargeLockWait(uint64_t ns) {
-    lock_wait_ns_.fetch_add(ns, std::memory_order_relaxed);
-  }
-  void ChargeWalCommitWait(uint64_t ns) {
-    wal_commit_wait_ns_.fetch_add(ns, std::memory_order_relaxed);
-  }
-  void ChargeWalBytes(uint64_t bytes) {
-    wal_bytes_logged_.fetch_add(bytes, std::memory_order_relaxed);
-  }
-
-  /// A consistent-enough copy (relaxed loads; concurrent charges may or
-  /// may not be included — totals of a finished op are exact).
-  OpProfileStats Snapshot() const;
-
-  /// Adds this profile's current charges into `dest` (relaxed adds).
-  void MergeInto(OpProfile* dest) const;
+  /// Adds one finished op: a relaxed add per non-zero counter.
+  void Add(const OpProfile& op);
+  /// A copy of the totals; an op being added meanwhile may show in
+  /// part.
+  OpProfile Snapshot() const;
 
  private:
-  std::atomic<uint64_t> pool_lookups_{0};
-  std::atomic<uint64_t> pool_hits_{0};
-  std::atomic<uint64_t> pool_misses_{0};
-  std::atomic<uint64_t> pager_reads_{0};
-  std::atomic<uint64_t> pager_writes_{0};
-  std::atomic<uint64_t> heap_records_{0};
-  std::atomic<uint64_t> arena_bytes_{0};
-  std::atomic<uint64_t> cluster_prefetches_{0};
-  std::atomic<uint64_t> rows_scanned_{0};
-  std::atomic<uint64_t> rows_matched_{0};
-  std::atomic<uint64_t> rows_skipped_decode_{0};
-  std::atomic<uint64_t> predicate_evals_{0};
-  std::atomic<uint64_t> batches_{0};
-  std::atomic<uint64_t> partitions_{0};
-  std::atomic<uint64_t> join_build_rows_{0};
-  std::atomic<uint64_t> join_probe_rows_{0};
-  std::atomic<uint64_t> join_pairs_{0};
-  std::atomic<uint64_t> lock_wait_ns_{0};
-  std::atomic<uint64_t> wal_commit_wait_ns_{0};
-  std::atomic<uint64_t> wal_bytes_logged_{0};
+  std::array<std::atomic<uint64_t>, std::size(kOpProfileCounters)>
+      counters_{};
 };
 
 /// One live session as the inspector sees it. `current_op` is a
@@ -150,8 +120,8 @@ class SessionEntry {
   uint64_t session_id() const { return session_id_; }
   uint64_t trace_id() const { return trace_id_; }
   uint64_t opened_ns() const { return opened_ns_; }
-  OpProfile& totals() { return totals_; }
-  const OpProfile& totals() const { return totals_; }
+  SessionTotals& totals() { return totals_; }
+  const SessionTotals& totals() const { return totals_; }
 
   void BeginOp(const char* name, uint64_t now_ns) {
     op_started_ns_.store(now_ns, std::memory_order_relaxed);
@@ -181,7 +151,7 @@ class SessionEntry {
   const uint64_t session_id_;
   const uint64_t trace_id_;
   const uint64_t opened_ns_;
-  OpProfile totals_;
+  SessionTotals totals_;
   std::atomic<const char*> current_op_{nullptr};
   std::atomic<uint64_t> op_started_ns_{0};
   std::atomic<uint64_t> ops_completed_{0};
@@ -226,7 +196,7 @@ struct SlowOpRecord {
   uint64_t session_id = 0;  ///< 0 = not session-bound
   uint64_t trace_id = 0;
   const char* op = nullptr;  ///< static storage duration
-  OpProfileStats stats;
+  OpProfile stats;
 };
 
 /// Bounded overwrite ring of full profiles for operations that ran
@@ -255,7 +225,7 @@ class SlowOpLog {
   /// Parks one record (oldest entry overwritten when full) and appends
   /// a `slow_op` journal record. Callers check the threshold first.
   void Record(const char* op, uint64_t session_id, uint64_t trace_id,
-              uint64_t duration_ns, const OpProfileStats& stats);
+              uint64_t duration_ns, const OpProfile& stats);
 
   /// Records ever parked (including overwritten ones).
   uint64_t recorded() const {
@@ -281,9 +251,9 @@ class SlowOpLog {
 /// RAII around one profiled operation: installs the caller's context
 /// with a fresh `OpProfile` (and, when a session entry is given, the
 /// session's id) for the scope, and on destruction
-///  * merges the charges into the enclosing profile (if any), so
-///    nested ops aggregate upward,
-///  * merges them into `session->totals()` and stamps the session's
+///  * adds the charges into the enclosing profile (if any), so nested
+///    ops aggregate upward,
+///  * adds them into `session->totals()` and stamps the session's
 ///    current-op state (when a session entry is given),
 ///  * parks the full profile in the `SlowOpLog` when the op ran longer
 ///    than the threshold, and
@@ -312,7 +282,7 @@ class ProfiledOp {
 
 /// Runs `body` with `*nested` as the thread's profile (trace ids and
 /// session unchanged), stores its wall time in `*elapsed_ns`, then
-/// merges `*nested` into the enclosing profile, if any, so session
+/// adds `*nested` into the enclosing profile, if any, so session
 /// totals and slow-op records still see the work. This is how EXPLAIN
 /// ANALYZE attributes charges to one plan operator.
 template <typename Body>
@@ -327,7 +297,7 @@ auto RunNestedProfile(OpProfile* nested, uint64_t* elapsed_ns, Body body)
     return body();
   }();
   *elapsed_ns = Tracing::NowNanos() - start;
-  if (enclosing != nullptr) nested->MergeInto(enclosing);
+  if (enclosing != nullptr) *enclosing += *nested;
   return result;
 }
 

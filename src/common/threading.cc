@@ -27,9 +27,8 @@ void LockCharged(NativeMutex&, TryFn try_lock, LockFn lock) {
   auto start = std::chrono::steady_clock::now();
   lock();
   auto elapsed = std::chrono::steady_clock::now() - start;
-  profile->ChargeLockWait(static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-          .count()));
+  profile->lock_wait_ns += static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count());
 }
 
 }  // namespace

@@ -36,17 +36,21 @@ struct TraceContext {
 /// layers: its causal position, the session it serves and the profile
 /// its resource charges land in. Each thread has one current context;
 /// `TraceSpan` moves its span id, `ProfiledOp` attaches a profile and
-/// session. Crossing a thread boundary copies the whole value:
+/// session. Crossing a thread boundary copies the value, all but its
+/// profile:
 ///
 ///   OpContext ctx = CurrentOpContext();           // capture (producer)
+///   ctx.profile = nullptr;
 ///   worker.Submit([ctx] {
 ///     OpContextScope adopt(ctx);                  // adopt (consumer)
 ///     ODE_TRACE_SPAN("pool.fetch");               // child of ctx.span_id
 ///   });
 ///
-/// A worker that may outlive the capturing op (it is never joined)
-/// must clear `profile` before adopting: the profile usually lives on
-/// that op's stack.
+/// A profile has one writer, the thread running its op. A worker the
+/// op joins before it returns (a parallel-scan partition) charges a
+/// profile of its own, which the op adds into its profile after the
+/// join. A worker that is never joined (read-ahead) charges none: the
+/// op, and the profile on its stack, may be gone by the time it runs.
 struct OpContext {
   uint64_t trace_id = 0;    ///< 0 = detached (spans start a fresh trace)
   uint64_t span_id = 0;     ///< parent for spans opened under this context

@@ -180,7 +180,10 @@ Result<PageHandle> BufferPool::FetchInternal(PageId id, PageIntent intent,
       TouchLru(shard, idx);
     }
   }
-  if (auto* profile = obs::CurrentOpProfile()) profile->ChargePoolFetch(hit);
+  if (auto* profile = obs::CurrentOpProfile()) {
+    ++profile->pool_lookups;
+    ++(hit ? profile->pool_hits : profile->pool_misses);
+  }
   obs::AccessLog::Global().RecordPageTouch(id);
   // Affinity read-ahead rides on fetch misses: the page just faulted
   // is the signal that its chase-neighbors come next. No locks are
@@ -348,7 +351,7 @@ void BufferPool::AffinityReadAhead(PageId page) {
   if (issued == 0) return;
   cluster_prefetch_issued_->Add(issued);
   if (auto* profile = obs::CurrentOpProfile()) {
-    profile->ChargeClusterPrefetch(issued);
+    profile->cluster_prefetches += issued;
   }
   obs::Journal::Global().Append(obs::JournalEvent::kPrefetchIssued,
                                 static_cast<int64_t>(issued),

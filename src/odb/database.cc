@@ -248,7 +248,7 @@ Status Database::AlterClass(ClassDef def) {
           fields.push_back({member.name, *old_value});
         } else {
           ODE_ASSIGN_OR_RETURN(Value fresh,
-                               DefaultMemberValue(member));
+                               DefaultForType(schema(), member.type));
           fields.push_back({member.name, std::move(fresh)});
         }
       }
@@ -260,48 +260,6 @@ Status Database::AlterClass(ClassDef def) {
   }
   ODE_RETURN_IF_ERROR(catalog_->Persist());
   return txn.Commit();
-}
-
-Result<Value> Database::DefaultMemberValue(const MemberDef& member) {
-  // DefaultInstance handles whole classes; single members reuse the
-  // same rules through a one-field wrapper schema lookup.
-  switch (member.type.kind) {
-    case TypeRef::Kind::kClass:
-      return DefaultInstance(schema(), member.type.class_name);
-    default: {
-      // Build via DefaultInstance of a synthetic holder is overkill;
-      // replicate the scalar defaults here.
-      using Kind = TypeRef::Kind;
-      switch (member.type.kind) {
-        case Kind::kBool:
-          return Value::Bool(false);
-        case Kind::kInt:
-          return Value::Int(0);
-        case Kind::kReal:
-          return Value::Real(0.0);
-        case Kind::kString:
-          return Value::String("");
-        case Kind::kBlob:
-          return Value::Blob("");
-        case Kind::kRef:
-          return Value::Ref(Oid::Null(), member.type.class_name);
-        case Kind::kSet:
-          return Value::Set({});
-        case Kind::kArray: {
-          std::vector<Value> elements;
-          // Sized arrays of scalars default element-wise; nested
-          // containers default empty.
-          for (uint32_t i = 0; i < member.type.array_size; ++i) {
-            elements.push_back(Value::Null());
-          }
-          return Value::Array(std::move(elements));
-        }
-        default:
-          return Status::InvalidArgument("member '" + member.name +
-                                         "' has no default value");
-      }
-    }
-  }
 }
 
 Status Database::DropClass(const std::string& class_name) {

@@ -358,9 +358,6 @@ class Database {
   /// (called after DML commits; must not hold `wal_txn_mu_`).
   Status MaybeCheckpointLocked() ODE_REQUIRES_SHARED(schema_mu_);
 
-  /// Default value for one member (used by AlterClass migration).
-  Result<Value> DefaultMemberValue(const MemberDef& member);
-
   /// Runs constraint checks for the class and its ancestors.
   Status CheckConstraints(const std::string& class_name, const Value& value)
       ODE_REQUIRES_SHARED(schema_mu_);

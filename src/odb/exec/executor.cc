@@ -124,14 +124,16 @@ void PublishScanStats(const ScanStats& stats) {
   ExecRowsScanned().Add(stats.rows_scanned);
   ExecRowsMatched().Add(stats.rows_matched);
   ExecRowsSkippedDecode().Add(stats.skipped_fields);
-  // Exec-level charges land exactly once, on the caller's profile —
-  // partition workers adopt the profile only for the storage and lock
-  // charges they incur themselves.
+  // Exec-level charges land once, on the caller's profile. Partitions
+  // charge only their own storage and lock work, into profiles the
+  // caller has added in by now.
   if (auto* profile = obs::CurrentOpProfile()) {
-    profile->ChargeScan(stats.rows_scanned, stats.rows_matched,
-                        stats.skipped_fields, stats.predicate_evals,
-                        stats.batches,
-                        static_cast<uint64_t>(stats.partitions));
+    profile->rows_scanned += stats.rows_scanned;
+    profile->rows_matched += stats.rows_matched;
+    profile->rows_skipped_decode += stats.skipped_fields;
+    profile->predicate_evals += stats.predicate_evals;
+    profile->batches += stats.batches;
+    profile->partitions += static_cast<uint64_t>(stats.partitions);
   }
   obs::Journal::Global().Append(obs::JournalEvent::kExecScan,
                                 static_cast<int64_t>(stats.rows_scanned),
@@ -140,30 +142,34 @@ void PublishScanStats(const ScanStats& stats) {
 
 }  // namespace
 
+ScanProjection PlanScanProjection(const ScanSpec& spec,
+                                  const CompiledPredicate& compiled) {
+  ScanProjection out;
+  if (spec.project_all) return out;
+  if (spec.predicate != nullptr) {
+    for (const std::string& path : spec.predicate->AttributePaths()) {
+      out.mask.AddPath(path);
+    }
+  }
+  if (spec.projection != nullptr) {
+    for (const std::string& path : *spec.projection) out.mask.AddPath(path);
+  }
+  out.ids_only = out.mask.size() == 0 && compiled.always_true();
+  return out;
+}
+
 Result<ScanResult> ExecuteScan(Database* db, const ScanSpec& spec) {
   ODE_TRACE_SPAN("exec.scan");
   obs::ScopedLatencyTimer timer(&ExecScanLatency());
   CompiledPredicate compiled = spec.predicate != nullptr
                                    ? CompiledPredicate::Compile(*spec.predicate)
                                    : CompiledPredicate();
-  ProjectionMask mask;
-  const ProjectionMask* mask_ptr = nullptr;
-  if (!spec.project_all) {
-    if (spec.predicate != nullptr) {
-      for (const std::string& path : spec.predicate->AttributePaths()) {
-        mask.AddPath(path);
-      }
-    }
-    if (spec.projection != nullptr) {
-      for (const std::string& path : *spec.projection) mask.AddPath(path);
-    }
-    mask_ptr = &mask;
-  }
+  ScanProjection projection = PlanScanProjection(spec, compiled);
+  const ProjectionMask* mask_ptr =
+      spec.project_all ? nullptr : &projection.mask;
 
   ScanResult result;
-  if (mask_ptr != nullptr && mask.size() == 0 && compiled.always_true()) {
-    // Nothing to decode and nothing to filter: ids straight from the
-    // heap directory.
+  if (projection.ids_only) {
     ODE_ASSIGN_OR_RETURN(std::vector<Oid> ids,
                          db->ScanCluster(spec.class_name));
     result.rows.reserve(ids.size());
@@ -206,10 +212,12 @@ Result<ScanResult> ExecuteScan(Database* db, const ScanSpec& spec) {
   const size_t chunk = (ids.size() + workers - 1) / workers;
   std::vector<ScanResult> parts(workers);
   std::vector<Status> statuses(workers, Status::OK());
-  // Workers are joined before this returns, so they adopt the caller's
-  // whole context: spans, session id and profile charges all land
-  // where the serial scan's would.
+  // Workers keep the caller's trace and session ids, so their spans
+  // and access events land where the serial scan's would. A profile
+  // has one writer, so each charges its own, and the caller adds them
+  // into its profile after the join.
   obs::OpContext caller = obs::CurrentOpContext();
+  std::vector<obs::OpProfile> profiles(workers);
   std::vector<std::thread> threads;
   threads.reserve(workers);
   for (size_t w = 0; w < workers; ++w) {
@@ -221,14 +229,19 @@ Result<ScanResult> ExecuteScan(Database* db, const ScanSpec& spec) {
     // partition twice.
     uint64_t after = begin == 0 ? 0 : ids[begin - 1].local;
     uint64_t last = ids[end - 1].local;
-    threads.emplace_back([&, w, after, last, caller] {
-      obs::OpContextScope adopt(caller);
+    threads.emplace_back([&, w, after, last] {
+      obs::OpContext worker = caller;
+      if (worker.profile != nullptr) worker.profile = &profiles[w];
+      obs::OpContextScope adopt(worker);
       ODE_TRACE_SPAN("exec.scan.partition");
       statuses[w] =
           ScanPartition(db, spec, compiled, mask_ptr, after, last, &parts[w]);
     });
   }
   for (std::thread& t : threads) t.join();
+  if (caller.profile != nullptr) {
+    for (const obs::OpProfile& part : profiles) *caller.profile += part;
+  }
   for (const Status& status : statuses) ODE_RETURN_IF_ERROR(status);
   result.stats.partitions = static_cast<int>(threads.size());
   for (ScanResult& part : parts) {
@@ -368,22 +381,37 @@ bool ComputeKeys(const std::vector<ScanRow>& rows, const std::string& path,
 
 namespace {
 
-/// Runs `body` under a fresh nested profile when `actuals` is wanted,
-/// recording wall time and the phase's resource snapshot. With no
-/// actuals requested the body runs directly under the caller's profile.
+/// Runs `body` with `*out_profile`, cleared, as a nested profile when
+/// `actuals` is wanted, recording wall time and the phase's charges.
+/// With no actuals requested the body runs directly under the caller's
+/// profile.
 template <typename Body>
-auto RunJoinPhase(bool collect, uint64_t* out_ns,
-                  obs::OpProfileStats* out_profile, Body body)
-    -> decltype(body()) {
+auto RunJoinPhase(bool collect, uint64_t* out_ns, obs::OpProfile* out_profile,
+                  Body body) -> decltype(body()) {
   if (!collect) return body();
-  obs::OpProfile phase_profile;
-  decltype(body()) result =
-      obs::RunNestedProfile(&phase_profile, out_ns, body);
-  *out_profile = phase_profile.Snapshot();
-  return result;
+  *out_profile = {};
+  return obs::RunNestedProfile(out_profile, out_ns, body);
 }
 
 }  // namespace
+
+JoinInputs::JoinInputs(const JoinSpec& spec,
+                       const CompiledPredicate& compiled) {
+  for (const CompiledPredicate::Slot& slot : compiled.slots()) {
+    bool is_left = slot.side == CompiledPredicate::Side::kLeft;
+    if (slot.parts.empty()) {
+      (is_left ? left : right).project_all = true;
+    } else {
+      (is_left ? left_paths : right_paths).push_back(slot.dotted);
+    }
+  }
+  left.class_name = spec.left_class;
+  left.projection = &left_paths;
+  left.batch_size = spec.batch_size;
+  right.class_name = spec.right_class;
+  right.projection = &right_paths;
+  right.batch_size = spec.batch_size;
+}
 
 Result<JoinResult> ExecuteJoin(Database* db, const JoinSpec& spec,
                                JoinPhaseActuals* actuals) {
@@ -394,40 +422,18 @@ Result<JoinResult> ExecuteJoin(Database* db, const JoinSpec& spec,
   ODE_ASSIGN_OR_RETURN(CompiledPredicate compiled,
                        CompiledPredicate::CompileJoin(predicate));
 
-  // Each side materializes only the attributes its slots touch.
-  std::vector<std::string> left_paths, right_paths;
-  bool left_all = false, right_all = false;
-  for (const CompiledPredicate::Slot& slot : compiled.slots()) {
-    bool left = slot.side == CompiledPredicate::Side::kLeft;
-    if (slot.parts.empty()) {
-      (left ? left_all : right_all) = true;
-    } else {
-      (left ? left_paths : right_paths).push_back(slot.dotted);
-    }
-  }
-  auto scan_side = [&](const std::string& class_name,
-                       const std::vector<std::string>& paths,
-                       bool all) -> Result<ScanResult> {
-    ScanSpec scan;
-    scan.class_name = class_name;
-    scan.projection = &paths;
-    scan.project_all = all;
-    scan.batch_size = spec.batch_size;
-    return ExecuteScan(db, scan);
-  };
+  JoinInputs inputs(spec, compiled);
   const bool collect = actuals != nullptr;
   JoinPhaseActuals scratch_actuals;
   JoinPhaseActuals& act = collect ? *actuals : scratch_actuals;
   ODE_ASSIGN_OR_RETURN(
       ScanResult lefts,
-      RunJoinPhase(collect, &act.left_ns, &act.left_profile, [&] {
-        return scan_side(spec.left_class, left_paths, left_all);
-      }));
+      RunJoinPhase(collect, &act.left_ns, &act.left_profile,
+                   [&] { return ExecuteScan(db, inputs.left); }));
   ODE_ASSIGN_OR_RETURN(
       ScanResult rights,
-      RunJoinPhase(collect, &act.right_ns, &act.right_profile, [&] {
-        return scan_side(spec.right_class, right_paths, right_all);
-      }));
+      RunJoinPhase(collect, &act.right_ns, &act.right_profile,
+                   [&] { return ExecuteScan(db, inputs.right); }));
   act.left_scan = lefts.stats;
   act.right_scan = rights.stats;
 
@@ -521,8 +527,9 @@ Result<JoinResult> ExecuteJoin(Database* db, const JoinSpec& spec,
   ExecJoinProbeRows().Add(out.stats.probe_rows);
   ExecJoinPairs().Add(out.stats.pairs);
   if (auto* profile = obs::CurrentOpProfile()) {
-    profile->ChargeJoin(out.stats.build_rows, out.stats.probe_rows,
-                        out.stats.pairs);
+    profile->join_build_rows += out.stats.build_rows;
+    profile->join_probe_rows += out.stats.probe_rows;
+    profile->join_pairs += out.stats.pairs;
   }
   if (collect) {
     act.match_ns = MonotonicNs() - match_start;

@@ -9,6 +9,7 @@
 #include "common/op_profile.h"
 #include "common/result.h"
 #include "odb/exec/batch_scanner.h"
+#include "odb/exec/compiled_predicate.h"
 #include "odb/oid.h"
 #include "odb/predicate.h"
 #include "odb/value.h"
@@ -66,6 +67,19 @@ struct ScanResult {
   ScanStats stats;
 };
 
+/// What a scan decodes, as `ExecuteScan` runs it and EXPLAIN reports
+/// it.
+struct ScanProjection {
+  /// Top-level attributes the predicate and the projection read;
+  /// unused under `project_all`.
+  ProjectionMask mask;
+  /// Nothing to decode and nothing to filter: ids come straight from
+  /// the heap directory.
+  bool ids_only = false;
+};
+ScanProjection PlanScanProjection(const ScanSpec& spec,
+                                  const CompiledPredicate& compiled);
+
 /// Runs a batched, optionally parallel, filtered + projected scan.
 /// Rows come back in ascending id order regardless of parallelism
 /// (partitions are contiguous id ranges concatenated in order).
@@ -77,6 +91,21 @@ struct JoinSpec {
   std::string right_class;
   const Predicate* predicate = nullptr;  ///< null joins every pair
   size_t batch_size = kDefaultBatchSize;
+};
+
+/// A join's two input scans, as `ExecuteJoin` runs them and EXPLAIN
+/// reports them: each side decodes only the attributes the predicate
+/// reads on that side, or all of them when it reads the side whole.
+/// The specs point into this object, so it stays where it is built.
+struct JoinInputs {
+  JoinInputs(const JoinSpec& spec, const CompiledPredicate& compiled);
+  JoinInputs(const JoinInputs&) = delete;
+  JoinInputs& operator=(const JoinInputs&) = delete;
+
+  std::vector<std::string> left_paths;
+  std::vector<std::string> right_paths;
+  ScanSpec left;
+  ScanSpec right;
 };
 
 struct JoinStats {
@@ -96,18 +125,18 @@ struct JoinResult {
 
 /// Per-phase actuals for EXPLAIN ANALYZE: wall time and resource
 /// profile of the two input scans and the match phase. Filled only
-/// when a caller passes it to `ExecuteJoin`; each phase runs under its
-/// own nested `OpProfile`, which merges back into the caller's current
-/// profile so session totals stay exact.
+/// when a caller passes it to `ExecuteJoin`; each scan phase charges
+/// its own nested `OpProfile`, which is added back into the caller's
+/// current profile so session totals stay exact.
 struct JoinPhaseActuals {
   ScanStats left_scan;
   ScanStats right_scan;
   uint64_t left_ns = 0;
   uint64_t right_ns = 0;
   uint64_t match_ns = 0;
-  obs::OpProfileStats left_profile;
-  obs::OpProfileStats right_profile;
-  obs::OpProfileStats match_profile;
+  obs::OpProfile left_profile;
+  obs::OpProfile right_profile;
+  obs::OpProfile match_profile;
 };
 
 /// Joins two clusters. An equality conjunct between one left and one

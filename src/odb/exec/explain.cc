@@ -1,7 +1,6 @@
 #include "odb/exec/explain.h"
 
 #include <cstdio>
-#include <set>
 #include <sstream>
 
 #include "common/strings.h"
@@ -23,7 +22,7 @@ std::string FormatMs(uint64_t ns) {
 /// charge set is in the JSON rendering.
 void AppendActualText(std::ostringstream& os, const std::string& indent,
                       const PlanNode& node) {
-  const obs::OpProfileStats& a = node.actual;
+  const obs::OpProfile& a = node.actual;
   os << indent << "actual: rows=" << node.rows_out
      << " time=" << FormatMs(node.time_ns) << " pages_read=" << a.pool_misses
      << " pool_hits=" << a.pool_hits << " rows_scanned=" << a.rows_scanned;
@@ -82,8 +81,8 @@ void RenderNodeJson(std::ostringstream& os, const PlanNode& node) {
   os << "]}";
 }
 
-/// Shared static description of one scan input (used by both the
-/// top-level scan plan and a join's children).
+/// Static description of one scan, from the same planning the executor
+/// runs (used by both the top-level scan plan and a join's children).
 PlanNode DescribeScan(const ScanSpec& spec) {
   PlanNode node;
   node.op = "scan";
@@ -94,28 +93,17 @@ PlanNode DescribeScan(const ScanSpec& spec) {
   CompiledPredicate compiled = spec.predicate != nullptr
                                    ? CompiledPredicate::Compile(*spec.predicate)
                                    : CompiledPredicate();
-  // Mirror ExecuteScan's strategy choice: with nothing to decode and
-  // nothing to filter, ids come straight from the heap directory.
-  std::set<std::string> mask;
-  if (!spec.project_all) {
-    if (spec.predicate != nullptr) {
-      for (const std::string& path : spec.predicate->AttributePaths()) {
-        mask.insert(path);
-      }
-    }
-    if (spec.projection != nullptr) {
-      for (const std::string& path : *spec.projection) mask.insert(path);
-    }
-  }
-  bool ids_only = !spec.project_all && mask.empty() && compiled.always_true();
-  node.props.emplace_back("strategy", ids_only ? "ids-only" : "batched-decode");
+  ScanProjection projection = PlanScanProjection(spec, compiled);
+  size_t attributes = projection.mask.size();
   node.props.emplace_back(
-      "projection", spec.project_all
-                        ? "full"
-                        : (mask.empty() ? "none"
-                                        : "masked (" +
-                                              std::to_string(mask.size()) +
-                                              " attributes)"));
+      "strategy", projection.ids_only ? "ids-only" : "batched-decode");
+  node.props.emplace_back(
+      "projection",
+      spec.project_all
+          ? "full"
+          : (attributes == 0 ? "none"
+                             : "masked (" + std::to_string(attributes) +
+                                   " attributes)"));
   node.props.emplace_back(
       "compiled", std::to_string(compiled.nodes().size()) + " nodes, " +
                       std::to_string(compiled.slots().size()) + " slots");
@@ -125,7 +113,7 @@ PlanNode DescribeScan(const ScanSpec& spec) {
 }
 
 void FillActuals(PlanNode* node, uint64_t time_ns, uint64_t rows_out,
-                 const obs::OpProfileStats& actual) {
+                 const obs::OpProfile& actual) {
   node->analyzed = true;
   node->time_ns = time_ns;
   node->rows_out = rows_out;
@@ -138,7 +126,7 @@ std::string ExplainResult::RenderText() const {
   std::ostringstream os;
   RenderNodeText(os, root, 0);
   if (analyzed) {
-    const obs::OpProfileStats& t = totals;
+    const obs::OpProfile& t = totals;
     os << "totals: time=" << FormatMs(total_ns)
        << " pages_read=" << t.pool_misses << " pool_hits=" << t.pool_hits
        << " pager_reads=" << t.pager_reads
@@ -174,16 +162,14 @@ Result<ExplainResult> ExplainScan(Database* db, const ScanSpec& spec,
 
   // A nested profile, so the plan's actuals carry exactly this scan's
   // charges.
-  obs::OpProfile profile;
   uint64_t elapsed = 0;
   ODE_ASSIGN_OR_RETURN(ScanResult scan,
-                       obs::RunNestedProfile(&profile, &elapsed, [&] {
+                       obs::RunNestedProfile(&result.totals, &elapsed, [&] {
                          return ExecuteScan(db, spec);
                        }));
 
   result.analyzed = true;
   result.total_ns = elapsed;
-  result.totals = profile.Snapshot();
   FillActuals(&result.root, elapsed, scan.stats.rows_matched, result.totals);
   return result;
 }
@@ -215,50 +201,25 @@ Result<ExplainResult> ExplainJoin(Database* db, const JoinSpec& spec,
                       std::to_string(compiled.slots().size()) + " slots");
   root.props.emplace_back("batch_size", std::to_string(spec.batch_size));
 
-  // The children mirror ExecuteJoin's inputs: each side materializes
-  // only the attributes the join predicate touches.
-  std::vector<std::string> left_paths, right_paths;
-  bool left_all = false, right_all = false;
-  for (const CompiledPredicate::Slot& slot : compiled.slots()) {
-    bool left = slot.side == CompiledPredicate::Side::kLeft;
-    if (slot.parts.empty()) {
-      (left ? left_all : right_all) = true;
-    } else {
-      (left ? left_paths : right_paths).push_back(slot.dotted);
-    }
-  }
-  auto side_spec = [&](const std::string& class_name,
-                       const std::vector<std::string>& paths, bool all) {
-    ScanSpec scan;
-    scan.class_name = class_name;
-    scan.projection = &paths;
-    scan.project_all = all;
-    scan.batch_size = spec.batch_size;
-    return scan;
-  };
-  {
-    ScanSpec left = side_spec(spec.left_class, left_paths, left_all);
-    ScanSpec right = side_spec(spec.right_class, right_paths, right_all);
-    root.children.push_back(DescribeScan(left));
-    root.children.push_back(DescribeScan(right));
-  }
+  // The children are ExecuteJoin's inputs.
+  JoinInputs inputs(spec, compiled);
+  root.children.push_back(DescribeScan(inputs.left));
+  root.children.push_back(DescribeScan(inputs.right));
   if (!analyze) return result;
 
   // One wrapper profile around the whole join: the per-phase profiles
-  // ExecuteJoin collects merge into it (scans via RunJoinPhase, the
+  // ExecuteJoin collects are added into it (scans via RunJoinPhase, the
   // match charge directly), so the totals equal the sum of the three
   // per-operator actuals — the equivalence EXPLAIN ANALYZE promises.
-  obs::OpProfile profile;
   JoinPhaseActuals actuals;
   uint64_t elapsed = 0;
   ODE_ASSIGN_OR_RETURN(JoinResult out,
-                       obs::RunNestedProfile(&profile, &elapsed, [&] {
+                       obs::RunNestedProfile(&result.totals, &elapsed, [&] {
                          return ExecuteJoin(db, spec, &actuals);
                        }));
 
   result.analyzed = true;
   result.total_ns = elapsed;
-  result.totals = profile.Snapshot();
   // The runtime can downgrade a predicted hash join (non-scalar keys);
   // report what actually ran.
   root.op = out.stats.hash_join ? "hash-join" : "nested-loop-join";

@@ -25,7 +25,7 @@ struct PlanNode {
   bool analyzed = false;
   uint64_t time_ns = 0;
   uint64_t rows_out = 0;
-  obs::OpProfileStats actual;  ///< resource charges attributed here
+  obs::OpProfile actual;  ///< resource charges attributed here
 };
 
 /// A fully explained query: the operator tree plus (for ANALYZE) the
@@ -35,7 +35,7 @@ struct ExplainResult {
   PlanNode root;
   bool analyzed = false;
   uint64_t total_ns = 0;
-  obs::OpProfileStats totals;
+  obs::OpProfile totals;
 
   /// Indented text rendering (the shell's output).
   std::string RenderText() const;
@@ -53,7 +53,7 @@ bool FindHashJoinKey(const Predicate& predicate, std::string* left_path,
 /// reports the scan strategy (ids-only fast path vs masked decode),
 /// the compiled predicate program size, and the partitioning; ANALYZE
 /// adds per-operator rows/pages/time from a nested `OpProfile` that
-/// merges back into the caller's current profile.
+/// is added back into the caller's current profile.
 Result<ExplainResult> ExplainScan(Database* db, const ScanSpec& spec,
                                   bool analyze);
 

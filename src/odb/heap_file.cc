@@ -466,7 +466,8 @@ Status HeapFile::RecordsInto(uint64_t from, bool forward, uint64_t last,
   }
   HeapBatchRecords().Add(spans->size());
   if (auto* profile = obs::CurrentOpProfile()) {
-    profile->ChargeHeapBatch(spans->size(), arena->size());
+    profile->heap_records += spans->size();
+    profile->arena_bytes += arena->size();
   }
   return Status::OK();
 }

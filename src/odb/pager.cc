@@ -57,7 +57,7 @@ Status MemPager::Read(PageId id, Page* page) {
   }
   *page = *pages_[id];
   MemReads().Increment();
-  if (auto* profile = obs::CurrentOpProfile()) profile->ChargePagerRead();
+  if (auto* profile = obs::CurrentOpProfile()) ++profile->pager_reads;
   return Status::OK();
 }
 
@@ -74,7 +74,7 @@ Status MemPager::Write(PageId id, const Page& page) {
   }
   *pages_[id] = page;
   MemWrites().Increment();
-  if (auto* profile = obs::CurrentOpProfile()) profile->ChargePagerWrite();
+  if (auto* profile = obs::CurrentOpProfile()) ++profile->pager_writes;
   return Status::OK();
 }
 
@@ -126,7 +126,7 @@ Status FilePager::WriteAt(PageId id, const Page& page) {
     remaining -= static_cast<size_t>(n);
   }
   FileWrites().Increment();
-  if (auto* profile = obs::CurrentOpProfile()) profile->ChargePagerWrite();
+  if (auto* profile = obs::CurrentOpProfile()) ++profile->pager_writes;
   return Status::OK();
 }
 
@@ -160,7 +160,7 @@ Status FilePager::Read(PageId id, Page* page) {
     remaining -= static_cast<size_t>(n);
   }
   FileReads().Increment();
-  if (auto* profile = obs::CurrentOpProfile()) profile->ChargePagerRead();
+  if (auto* profile = obs::CurrentOpProfile()) ++profile->pager_reads;
   return Status::OK();
 }
 

@@ -311,6 +311,18 @@ Status CheckTypeResolves(const Schema& schema, const ClassDef& def,
   }
   return Status::OK();
 }
+
+/// The class a member holds inline, by value or as the element of a
+/// fixed-size array; empty for references, sets and unsized arrays,
+/// which hold no instance inline.
+std::string_view EmbeddedClass(const TypeRef& type) {
+  if (type.kind == TypeRef::Kind::kClass) return type.class_name;
+  if (type.kind == TypeRef::Kind::kArray && type.array_size > 0 &&
+      type.element != nullptr) {
+    return EmbeddedClass(*type.element);
+  }
+  return {};
+}
 }  // namespace
 
 Status Schema::Validate() const {
@@ -339,6 +351,40 @@ Status Schema::Validate() const {
   }
   if (cyclic_) {
     return Status::InvalidArgument("inheritance graph contains a cycle");
+  }
+  // A class that holds itself inline, through its own or inherited
+  // members, has no finite instance. Depth-first over the "holds
+  // inline" graph with an explicit stack; a class on the current path
+  // reached again closes a cycle.
+  enum : uint8_t { kUnseen, kOnPath, kDone };
+  std::vector<uint8_t> state(classes_.size(), kUnseen);
+  std::vector<std::pair<size_t, size_t>> path;  // (class, next member)
+  for (size_t root = 0; root < classes_.size(); ++root) {
+    if (state[root] != kUnseen) continue;
+    state[root] = kOnPath;
+    path.emplace_back(root, 0);
+    while (!path.empty()) {
+      auto [cls, next] = path.back();
+      const std::vector<MemberDef>& members = layouts_[cls].members;
+      if (next == members.size()) {
+        state[cls] = kDone;
+        path.pop_back();
+        continue;
+      }
+      ++path.back().second;
+      int found = IndexOf(EmbeddedClass(members[next].type));
+      if (found < 0) continue;
+      const size_t held = static_cast<size_t>(found);
+      if (state[held] == kOnPath) {
+        return Status::InvalidArgument(
+            "class '" + classes_[held].name +
+            "' contains itself by value (member '" + classes_[cls].name +
+            "." + members[next].name + "')");
+      }
+      if (state[held] == kDone) continue;
+      state[held] = kOnPath;
+      path.emplace_back(held, 0);
+    }
   }
   return Status::OK();
 }

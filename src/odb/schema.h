@@ -195,7 +195,10 @@ class Schema {
   std::vector<std::pair<std::string, std::string>> InheritanceEdges() const;
 
   /// Checks global consistency: all bases exist, inheritance is acyclic,
-  /// ref/embedded member types resolve, member names unique per class.
+  /// ref/embedded member types resolve, member names unique per class,
+  /// and no class contains itself by value (own or inherited members,
+  /// or fixed-size arrays of them; a ref, a set or an unsized array
+  /// breaks the chain).
   Status Validate() const;
 
   /// Serialization for the persistent catalog. The Decoder overload

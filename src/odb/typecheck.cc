@@ -137,10 +137,6 @@ Status TypeCheckObject(const Schema& schema, std::string_view class_name,
   return Status::OK();
 }
 
-namespace {
-Result<Value> DefaultForType(const Schema& schema, const TypeRef& type);
-}  // namespace
-
 Result<Value> DefaultInstance(const Schema& schema,
                               std::string_view class_name) {
   ODE_ASSIGN_OR_RETURN(const ClassLayout* layout, schema.Layout(class_name));
@@ -153,7 +149,6 @@ Result<Value> DefaultInstance(const Schema& schema,
   return Value::Struct(std::move(fields));
 }
 
-namespace {
 Result<Value> DefaultForType(const Schema& schema, const TypeRef& type) {
   switch (type.kind) {
     case TypeRef::Kind::kVoid:
@@ -187,6 +182,5 @@ Result<Value> DefaultForType(const Schema& schema, const TypeRef& type) {
   }
   return Status::Internal("unhandled type kind");
 }
-}  // namespace
 
 }  // namespace ode::odb

@@ -28,9 +28,14 @@ Status TypeCheckValue(const Schema& schema, const TypeRef& type,
 
 /// Builds a default-initialized instance of `class_name`: zeros for
 /// numerics, empty strings, null refs, empty sets, sized arrays filled
-/// with element defaults. Useful for tools and tests.
+/// with element defaults. Terminates for any schema that passed
+/// `Schema::Validate`, which rejects a class containing itself by value.
 Result<Value> DefaultInstance(const Schema& schema,
                               std::string_view class_name);
+
+/// The default value of one declared type, by the same rules: what
+/// schema evolution stores in a member it adds or retypes.
+Result<Value> DefaultForType(const Schema& schema, const TypeRef& type);
 
 }  // namespace ode::odb
 

@@ -482,7 +482,7 @@ Result<uint64_t> Wal::AppendLocked(WalRecordType type, uint64_t txn,
   RecordsAppended().Increment();
   BytesAppended().Add(rec.size());
   if (auto* profile = obs::CurrentOpProfile()) {
-    profile->ChargeWalBytes(rec.size());
+    profile->wal_bytes_logged += rec.size();
   }
   return next_lsn_;
 }
@@ -518,8 +518,8 @@ Status Wal::WaitCommitDurable(uint64_t lsn) {
   Status status =
       WaitDurableInternal(lsn, /*force_own_sync=*/!options_.group_commit);
   auto elapsed = std::chrono::steady_clock::now() - start;
-  profile->ChargeWalCommitWait(static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count()));
+  profile->wal_commit_wait_ns += static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count());
   return status;
 }
 

@@ -18,10 +18,9 @@ namespace {
 constexpr int kPanelWidth = 46;
 
 /// The context a browse gesture runs under: the session's causal anchor
-/// and id (detached without a session), keeping the caller's profile.
-obs::OpContext GestureContext(const odb::Session* session) {
-  obs::OpContext ctx =
-      session != nullptr ? session->context() : obs::OpContext{};
+/// and id, keeping the caller's profile.
+obs::OpContext GestureContext(const odb::Session& session) {
+  obs::OpContext ctx = session.context();
   ctx.profile = obs::CurrentOpProfile();
   return ctx;
 }
@@ -134,27 +133,6 @@ Result<odb::ObjectBuffer> BrowseNode::Current() const {
 
 Result<const odb::ClassLayout*> BrowseNode::Layout() const {
   return context_->db->schema().Layout(class_name_);
-}
-
-Result<odb::ObjectBuffer> BrowseNode::FetchObject(odb::Oid oid) const {
-  if (context_->session != nullptr) return context_->session->GetObject(oid);
-  return context_->db->GetObject(oid);
-}
-
-Result<odb::ObjectBuffer> BrowseNode::FetchObjectVersion(
-    odb::Oid oid, uint32_t version) const {
-  if (context_->session != nullptr) {
-    return context_->session->GetObjectVersion(oid, version);
-  }
-  return context_->db->GetObjectVersion(oid, version);
-}
-
-Result<std::vector<uint32_t>> BrowseNode::FetchVersionList(
-    odb::Oid oid) const {
-  if (context_->session != nullptr) {
-    return context_->session->ListVersions(oid);
-  }
-  return context_->db->ListVersions(oid);
 }
 
 Status BrowseNode::BuildPanel() {
@@ -393,9 +371,9 @@ Status BrowseNode::Step(bool forward) {
         return Status::OutOfRange("no more objects in this set");
       }
       RecordCascadeAffinity(set_targets_[static_cast<size_t>(next)]);
-      ODE_ASSIGN_OR_RETURN(
-          odb::ObjectBuffer buffer,
-          FetchObject(set_targets_[static_cast<size_t>(next)]));
+      ODE_ASSIGN_OR_RETURN(odb::ObjectBuffer buffer,
+                           context_->session->GetObject(
+                               set_targets_[static_cast<size_t>(next)]));
       set_index_ = next;
       current_ = std::move(buffer);
       return Status::OK();
@@ -410,7 +388,7 @@ Status BrowseNode::Step(bool forward) {
 Status BrowseNode::Next() {
   // Adopt the session's context for the whole gesture, so the step's
   // object fetches and the refresh cascade land in one trace.
-  obs::OpContextScope adopt(GestureContext(context_->session));
+  obs::OpContextScope adopt(GestureContext(*context_->session));
   if (faulted_) {
     return Status::FailedPrecondition("object-interactor has terminated: " +
                                       fault_message_);
@@ -429,7 +407,7 @@ Status BrowseNode::Next() {
 Status BrowseNode::Prev() {
   // Adopt the session's context for the whole gesture, so the step's
   // object fetches and the refresh cascade land in one trace.
-  obs::OpContextScope adopt(GestureContext(context_->session));
+  obs::OpContextScope adopt(GestureContext(*context_->session));
   if (faulted_) {
     return Status::FailedPrecondition("object-interactor has terminated: " +
                                       fault_message_);
@@ -448,7 +426,7 @@ Status BrowseNode::Prev() {
 Status BrowseNode::Reset() {
   // Adopt the session's context for the whole gesture, so the step's
   // object fetches and the refresh cascade land in one trace.
-  obs::OpContextScope adopt(GestureContext(context_->session));
+  obs::OpContextScope adopt(GestureContext(*context_->session));
   if (faulted_) {
     return Status::FailedPrecondition("object-interactor has terminated: " +
                                       fault_message_);
@@ -699,12 +677,13 @@ Status BrowseNode::OpenVersionsWindow() {
         "select an object before viewing its versions");
   }
   ODE_ASSIGN_OR_RETURN(std::vector<uint32_t> versions,
-                       FetchVersionList(current_->oid));
+                       context_->session->ListVersions(current_->oid));
   std::vector<std::string> lines;
   lines.push_back("versions of " + current_->oid.ToString() + ":");
   for (uint32_t version : versions) {
-    ODE_ASSIGN_OR_RETURN(odb::ObjectBuffer buffer,
-                         FetchObjectVersion(current_->oid, version));
+    ODE_ASSIGN_OR_RETURN(
+        odb::ObjectBuffer buffer,
+        context_->session->GetObjectVersion(current_->oid, version));
     std::string marker = version == current_->version ? "*" : " ";
     lines.push_back(marker + "v" + std::to_string(version) + " " +
                     buffer.value.ToString());
@@ -867,7 +846,7 @@ Status BrowseNode::ResolveFromParent() {
     }
     RecordCascadeAffinity(field->AsRef());
     ODE_ASSIGN_OR_RETURN(odb::ObjectBuffer buffer,
-                         FetchObject(field->AsRef()));
+                         context_->session->GetObject(field->AsRef()));
     current_ = std::move(buffer);
     return Status::OK();
   }
@@ -893,7 +872,7 @@ Status BrowseNode::ResolveFromParent() {
     set_index_ = 0;
     RecordCascadeAffinity(set_targets_.front());
     ODE_ASSIGN_OR_RETURN(odb::ObjectBuffer buffer,
-                         FetchObject(set_targets_.front()));
+                         context_->session->GetObject(set_targets_.front()));
     current_ = std::move(buffer);
   }
   return Status::OK();

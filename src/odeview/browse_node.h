@@ -21,10 +21,9 @@ namespace ode::view {
 /// Services a browse tree needs; owned by the DbInteractor.
 struct BrowseContext {
   odb::Database* db = nullptr;
-  /// Session this browse tree runs its object operations through; when
-  /// null (tests constructing a context directly) nodes fall back to
-  /// `db`. Lets several interactors browse one database from worker
-  /// threads concurrently.
+  /// Session this browse tree runs its object operations through, so
+  /// every fetch is a profiled session op. Lets several interactors
+  /// browse one database from worker threads concurrently.
   odb::Session* session = nullptr;
   owl::Server* server = nullptr;
   dynlink::ModuleRepository* repository = nullptr;
@@ -185,11 +184,6 @@ class BrowseNode {
   /// The class's resolved inheritance, looked up per call so a node
   /// refreshed after a schema change sees the new layout.
   Result<const odb::ClassLayout*> Layout() const;
-  /// Object fetches routed through the context's session when present.
-  Result<odb::ObjectBuffer> FetchObject(odb::Oid oid) const;
-  Result<odb::ObjectBuffer> FetchObjectVersion(odb::Oid oid,
-                                               uint32_t version) const;
-  Result<std::vector<uint32_t>> FetchVersionList(odb::Oid oid) const;
   /// Advances the cluster cursor / set index.
   Status Step(bool forward);
   /// Charges a reference-affinity edge (parent's current object →

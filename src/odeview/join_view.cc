@@ -146,7 +146,7 @@ Status JoinView::RenderSide(const odb::ObjectBuffer& object, bool left) {
   std::string format = formats.empty() ? "text" : formats.front();
   if (formats.empty()) {
     synthesized = dynlink::SynthesizeDisplayFunction(
-        context_->db->schema(), object.class_name);
+        context_->db->schema(), object.class_name, context_->privileged);
     fn = &synthesized;
   } else {
     ODE_ASSIGN_OR_RETURN(

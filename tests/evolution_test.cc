@@ -9,6 +9,7 @@
 #include "odb/database.h"
 #include "odb/ddl_parser.h"
 #include "odb/labdb.h"
+#include "odb/typecheck.h"
 #include "odeview/app.h"
 
 namespace ode::odb {
@@ -219,6 +220,125 @@ TEST(AlterClassTest, UnknownClassRejected) {
   auto db = FreshDb();
   ClassDef updated = *ParseClassDef("class ghost { public: int x; };");
   EXPECT_TRUE(db->AlterClass(updated).IsNotFound());
+}
+
+TEST(AlterClassTest, AddedArrayGetsTypedElementDefaults) {
+  auto db = FreshDb();
+  Oid p = *db->CreateObject("person", P("ann", 30));
+  ClassDef updated = *ParseClassDef(
+      "class person { public: string name; int age; int xs[3]; };");
+  ASSERT_TRUE(db->AlterClass(updated).ok());
+  ObjectBuffer migrated = *db->GetObject(p);
+  const Value* xs = migrated.value.FindField("xs");
+  ASSERT_NE(xs, nullptr);
+  // The same default a fresh instance gets: three typed zeros.
+  Value fresh = *DefaultInstance(db->schema(), "person");
+  EXPECT_EQ(xs->ToString(), fresh.FindField("xs")->ToString());
+  ASSERT_EQ(xs->kind(), ValueKind::kArray);
+  ASSERT_EQ(xs->elements().size(), 3u);
+  for (const Value& x : xs->elements()) {
+    ASSERT_EQ(x.kind(), ValueKind::kInt);
+    EXPECT_EQ(x.AsInt(), 0);
+  }
+}
+
+// --- Classes that contain themselves by value -----------------------------
+
+// Each shape parses, but a class in it holds itself inline, so it has
+// no finite instance: DefaultInstance would recurse until the stack
+// overflowed.
+struct ByValueCycle {
+  const char* shape;
+  const char* ddl;
+};
+const ByValueCycle kByValueCycles[] = {
+    {"self", "class a { public: a inner; };"},
+    {"mutual", "class a { public: b x; };\nclass b { public: a y; };"},
+    {"array", "class a { public: a arr[2]; };"},
+    {"subclass",
+     "class a { public: b inner; };\nclass b : public a { public: int n; };"},
+};
+
+TEST(ByValueCycleTest, DefineSchemaRejectsEveryShape) {
+  for (const ByValueCycle& cycle : kByValueCycles) {
+    auto db = FreshDb();
+    Status status = db->DefineSchema(cycle.ddl);
+    EXPECT_TRUE(status.IsInvalidArgument())
+        << cycle.shape << ": " << status.ToString();
+    EXPECT_EQ(db->schema().size(), 2u) << cycle.shape;
+    EXPECT_FALSE(db->schema().Contains("a")) << cycle.shape;
+    EXPECT_TRUE(db->CreateObject("person", P("ann", 30)).ok());
+  }
+}
+
+TEST(ByValueCycleTest, AddClassRejectsSelfAndArrayShapes) {
+  for (const char* def : {"class a { public: a inner; };",
+                          "class a { public: int n; a arr[2]; };"}) {
+    auto db = FreshDb();
+    EXPECT_TRUE(db->AddClass(*ParseClassDef(def)).IsInvalidArgument()) << def;
+    EXPECT_EQ(db->schema().size(), 2u) << def;
+    EXPECT_FALSE(db->ScanCluster("a").ok()) << def;
+  }
+}
+
+// The shapes that crashed: a schema that validates, then an AlterClass
+// that closes the cycle. Rejected, the catalog and the stored objects
+// stay as they were.
+TEST(ByValueCycleTest, AlterClassRejectsEveryShape) {
+  struct Step {
+    const char* shape;
+    const char* ddl;    // validates on its own
+    const char* alter;  // closes the cycle
+  };
+  const Step steps[] = {
+      {"self", "class a { public: int n; };",
+       "class a { public: int n; a inner; };"},
+      {"mutual",
+       "class a { public: int n; b x; };\nclass b { public: int m; };",
+       "class b { public: int m; a y; };"},
+      {"array", "class a { public: int n; };",
+       "class a { public: int n; a arr[2]; };"},
+      {"subclass",
+       "class a { public: int n; };\nclass b : public a { public: int m; };",
+       "class a { public: int n; b inner; };"},
+  };
+  for (const Step& step : steps) {
+    auto db = FreshDb();
+    ASSERT_TRUE(db->DefineSchema(step.ddl).ok()) << step.shape;
+    ClassDef altered = *ParseClassDef(step.alter);
+    const std::string name = altered.name;
+    Value before = *DefaultInstance(db->schema(), name);
+    Oid oid = *db->CreateObject(name, before);
+    Status status = db->AlterClass(altered);
+    EXPECT_TRUE(status.IsInvalidArgument())
+        << step.shape << ": " << status.ToString();
+    EXPECT_TRUE(db->schema().Validate().ok()) << step.shape;
+    EXPECT_EQ(DefaultInstance(db->schema(), name)->ToString(),
+              before.ToString())
+        << step.shape;
+    ObjectBuffer stored = *db->GetObject(oid);
+    EXPECT_EQ(stored.version, 1u) << step.shape;
+    EXPECT_EQ(stored.value.ToString(), before.ToString()) << step.shape;
+  }
+}
+
+// A reference, a set or an unsized array holds no instance inline, so
+// each breaks the chain.
+TEST(ByValueCycleTest, IndirectSelfContainmentIsAccepted) {
+  auto db = FreshDb();
+  ASSERT_TRUE(db->DefineSchema(R"(
+class node {
+public:
+  int n;
+  node* next;
+  set<node> kids;
+  node many[];
+};
+)")
+                  .ok());
+  Result<Value> instance = DefaultInstance(db->schema(), "node");
+  ASSERT_TRUE(instance.ok()) << instance.status().ToString();
+  EXPECT_TRUE(db->CreateObject("node", *instance).ok());
 }
 
 }  // namespace

@@ -181,6 +181,39 @@ private:
   EXPECT_EQ(text.find("combination"), std::string::npos);
 }
 
+// A §5.3 join view draws each side with the same synthesized display
+// as a browse window, so debug mode shows private members there too.
+TEST_F(ExtensionsSession, JoinViewHonoursPrivilegedMode) {
+  ASSERT_TRUE(db_->DefineSchema(R"(
+class vault {
+public:
+  string label;
+private:
+  string combination;
+};
+)")
+                  .ok());
+  ASSERT_TRUE(db_->CreateObject(
+                     "vault",
+                     odb::Value::Struct(
+                         {{"label", odb::Value::String("v1")},
+                          {"combination", odb::Value::String("1234")}}))
+                  .ok());
+  Result<JoinView*> join = interactor_->OpenJoinView(
+      "vault", "department", "left.label == \"v1\"");
+  ASSERT_TRUE(join.ok()) << join.status().ToString();
+  ASSERT_GT((*join)->pair_count(), 0u);
+  for (bool privileged : {false, true, false}) {
+    interactor_->set_privileged(privileged);
+    ASSERT_TRUE((*join)->Reset().ok());
+    ASSERT_TRUE((*join)->Next().ok());
+    std::string text = ScrollTextContent((*join)->left_window());
+    EXPECT_NE(text.find("label"), std::string::npos) << text;
+    EXPECT_EQ(text.find("combination") != std::string::npos, privileged)
+        << "privileged=" << privileged << "\n" << text;
+  }
+}
+
 }  // namespace
 }  // namespace ode::view
 

@@ -51,7 +51,7 @@ class ScopedSlowThreshold {
   uint64_t previous_;
 };
 
-std::string StatsJson(const obs::OpProfileStats& stats) {
+std::string StatsJson(const obs::OpProfile& stats) {
   std::ostringstream os;
   obs::AppendOpProfileStatsJson(os, stats);
   return os.str();
@@ -90,41 +90,79 @@ class QueryProfileSuite : public ::testing::Test {
 
 TEST(OpProfileTest, ChargesSnapshotAndMerge) {
   obs::OpProfile profile;
-  profile.ChargePoolFetch(/*hit=*/true);
-  profile.ChargePoolFetch(/*hit=*/false);
-  profile.ChargePagerRead();
-  profile.ChargeHeapBatch(/*records=*/7, /*bytes=*/123);
-  profile.ChargeScan(10, 4, 6, 10, 2, 1);
-  profile.ChargeJoin(3, 5, 2);
-  profile.ChargeLockWait(1000);
-  profile.ChargeWalCommitWait(2000);
-  profile.ChargeWalBytes(64);
+  profile.pool_lookups = 2;
+  profile.pool_hits = 1;
+  profile.pool_misses = 1;
+  profile.pager_reads = 1;
+  profile.pager_writes = 3;
+  profile.heap_records = 7;
+  profile.arena_bytes = 123;
+  profile.cluster_prefetches = 4;
+  profile.rows_scanned = 10;
+  profile.rows_matched = 4;
+  profile.rows_skipped_decode = 6;
+  profile.predicate_evals = 10;
+  profile.batches = 2;
+  profile.partitions = 1;
+  profile.join_build_rows = 3;
+  profile.join_probe_rows = 5;
+  profile.join_pairs = 2;
+  profile.lock_wait_ns = 1000;
+  profile.wal_commit_wait_ns = 2000;
+  profile.wal_bytes_logged = 64;
 
-  obs::OpProfileStats s = profile.Snapshot();
-  EXPECT_EQ(s.pool_lookups, 2u);
-  EXPECT_EQ(s.pool_hits, 1u);
-  EXPECT_EQ(s.pool_misses, 1u);
-  EXPECT_EQ(s.pager_reads, 1u);
-  EXPECT_EQ(s.heap_records, 7u);
-  EXPECT_EQ(s.arena_bytes, 123u);
-  EXPECT_EQ(s.rows_scanned, 10u);
-  EXPECT_EQ(s.rows_matched, 4u);
-  EXPECT_EQ(s.rows_skipped_decode, 6u);
-  EXPECT_EQ(s.predicate_evals, 10u);
-  EXPECT_EQ(s.batches, 2u);
-  EXPECT_EQ(s.partitions, 1u);
-  EXPECT_EQ(s.join_build_rows, 3u);
-  EXPECT_EQ(s.join_probe_rows, 5u);
-  EXPECT_EQ(s.join_pairs, 2u);
-  EXPECT_EQ(s.lock_wait_ns, 1000u);
-  EXPECT_EQ(s.wal_commit_wait_ns, 2000u);
-  EXPECT_EQ(s.wal_bytes_logged, 64u);
-
+  // Merging is `+=`, over every counter.
   obs::OpProfile dest;
-  profile.MergeInto(&dest);
-  profile.MergeInto(&dest);
-  EXPECT_EQ(dest.Snapshot().pool_lookups, 4u);
-  EXPECT_EQ(dest.Snapshot().wal_bytes_logged, 128u);
+  dest += profile;
+  dest += profile;
+  for (const obs::OpProfileCounter& c : obs::kOpProfileCounters) {
+    EXPECT_EQ(dest.*c.member, 2 * (profile.*c.member)) << c.json_name;
+  }
+  EXPECT_EQ(dest.pool_lookups, 4u);
+  EXPECT_EQ(dest.wal_bytes_logged, 128u);
+
+  // A session's totals add the same way; their snapshot is a plain copy.
+  obs::SessionTotals totals;
+  totals.Add(profile);
+  totals.Add(profile);
+  EXPECT_EQ(StatsJson(totals.Snapshot()), StatsJson(dest));
+}
+
+// The JSON body `/sessions`, `/slow` and EXPLAIN carry, pinned byte for
+// byte: field order, each name on its own counter, and `pool_misses`
+// exported as "pages_read".
+TEST(OpProfileTest, JsonNamesEveryCounterInOrder) {
+  obs::OpProfile profile;
+  profile.pool_lookups = 101;
+  profile.pool_hits = 102;
+  profile.pool_misses = 103;
+  profile.pager_reads = 104;
+  profile.pager_writes = 105;
+  profile.heap_records = 106;
+  profile.arena_bytes = 107;
+  profile.cluster_prefetches = 108;
+  profile.rows_scanned = 109;
+  profile.rows_matched = 110;
+  profile.rows_skipped_decode = 111;
+  profile.predicate_evals = 112;
+  profile.batches = 113;
+  profile.partitions = 114;
+  profile.join_build_rows = 115;
+  profile.join_probe_rows = 116;
+  profile.join_pairs = 117;
+  profile.lock_wait_ns = 118;
+  profile.wal_commit_wait_ns = 119;
+  profile.wal_bytes_logged = 120;
+  EXPECT_EQ(StatsJson(profile),
+            "\"pool_lookups\":101,\"pool_hits\":102,\"pages_read\":103,"
+            "\"pager_reads\":104,\"pager_writes\":105,"
+            "\"heap_records\":106,\"arena_bytes\":107,"
+            "\"cluster_prefetches\":108,\"rows_scanned\":109,"
+            "\"rows_matched\":110,\"rows_skipped_decode\":111,"
+            "\"predicate_evals\":112,\"batches\":113,\"partitions\":114,"
+            "\"join_build_rows\":115,\"join_probe_rows\":116,"
+            "\"join_pairs\":117,\"lock_wait_ns\":118,"
+            "\"wal_commit_wait_ns\":119,\"wal_bytes_logged\":120");
 }
 
 TEST(OpProfileTest, ScopeInstallsAndRestores) {
@@ -163,15 +201,15 @@ TEST(OpProfileTest, ProfiledOpMergesIntoParentAndSession) {
   {
     obs::ProfiledOp op(&session, "test_op");
     EXPECT_EQ(session.current_op(), std::string("test_op"));
-    obs::CurrentOpProfile()->ChargePagerRead();
-    obs::CurrentOpProfile()->ChargeScan(5, 2, 0, 5, 1, 1);
+    ++obs::CurrentOpProfile()->pager_reads;
+    obs::CurrentOpProfile()->rows_scanned += 5;
   }
   EXPECT_EQ(session.current_op(), nullptr);
   EXPECT_EQ(session.ops_completed(), 1u);
   // Charges aggregate upward into the enclosing profile AND into the
   // session's cumulative totals.
-  EXPECT_EQ(outer.Snapshot().pager_reads, 1u);
-  EXPECT_EQ(outer.Snapshot().rows_scanned, 5u);
+  EXPECT_EQ(outer.pager_reads, 1u);
+  EXPECT_EQ(outer.rows_scanned, 5u);
   EXPECT_EQ(session.totals().Snapshot().pager_reads, 1u);
 }
 
@@ -191,7 +229,7 @@ TEST(OpProfileTest, ContendedLockWaitIsCharged) {
     MutexLock blocked(mu);  // contended: the timed slow path runs
   }
   holder.join();
-  EXPECT_GT(profile.Snapshot().lock_wait_ns, 0u);
+  EXPECT_GT(profile.lock_wait_ns, 0u);
 
   // Uncontended acquisition takes the try_lock fast path: no charge.
   obs::OpProfile cheap;
@@ -199,7 +237,7 @@ TEST(OpProfileTest, ContendedLockWaitIsCharged) {
     obs::OpContextScope scope(obs::OpContext{.profile = &cheap});
     MutexLock uncontended(mu);
   }
-  EXPECT_EQ(cheap.Snapshot().lock_wait_ns, 0u);
+  EXPECT_EQ(cheap.lock_wait_ns, 0u);
 }
 
 // --- Executor / storage charge sites ---------------------------------
@@ -213,7 +251,7 @@ TEST_F(QueryProfileSuite, SelectChargesAttachedProfile) {
     ASSERT_TRUE(result.ok());
     EXPECT_FALSE(result->empty());
   }
-  obs::OpProfileStats s = profile.Snapshot();
+  const obs::OpProfile& s = profile;
   EXPECT_GT(s.rows_scanned, 0u);
   EXPECT_GT(s.rows_matched, 0u);
   EXPECT_GT(s.predicate_evals, 0u);
@@ -231,7 +269,7 @@ TEST_F(QueryProfileSuite, NoProfileAttachedStaysCheapAndSafe) {
   ASSERT_TRUE(result.ok());  // every charge site tolerates nullptr
 }
 
-TEST_F(QueryProfileSuite, ParallelScanWorkersAdoptCallersProfile) {
+TEST_F(QueryProfileSuite, ParallelScanPartitionsAddIntoCallersProfile) {
   Predicate predicate = *ParsePredicate("age >= 18");
   exec::ScanSpec spec;
   spec.class_name = "employee";
@@ -245,12 +283,43 @@ TEST_F(QueryProfileSuite, ParallelScanWorkersAdoptCallersProfile) {
     ASSERT_TRUE(result.ok());
     serial = std::move(*result);
   }
-  obs::OpProfileStats s = profile.Snapshot();
+  const obs::OpProfile& s = profile;
   EXPECT_GT(s.partitions, 1u);
-  // Worker threads charged the initiator's profile: every record the
-  // partitions pulled through the heap layer landed here, each once.
+  // Each partition charged its own profile and the caller added them
+  // in after the join: every record the partitions pulled through the
+  // heap layer landed here, each once.
   EXPECT_EQ(s.heap_records, serial.stats.rows_scanned);
   EXPECT_EQ(s.rows_scanned, serial.stats.rows_scanned);
+}
+
+// A 4-way partitioned scan charges the caller what the serial scan
+// charges: no partition's work is lost or counted twice.
+TEST_F(QueryProfileSuite, PartitionedScanChargesWhatTheSerialScanCharges) {
+  Predicate predicate = *ParsePredicate("age >= 30");
+  auto charged = [&](int parallelism) {
+    exec::ScanSpec spec;
+    spec.class_name = "employee";
+    spec.predicate = &predicate;
+    spec.batch_size = 16;
+    spec.parallelism = parallelism;
+    obs::OpProfile profile;
+    {
+      obs::OpContextScope scope(obs::OpContext{.profile = &profile});
+      EXPECT_TRUE(exec::ExecuteScan(db_.get(), spec).ok());
+    }
+    return profile;
+  };
+  obs::OpProfile serial = charged(1);
+  obs::OpProfile partitioned = charged(4);
+  EXPECT_EQ(serial.partitions, 1u);
+  EXPECT_EQ(partitioned.partitions, 4u);
+  EXPECT_GT(serial.rows_matched, 0u);
+  EXPECT_LT(serial.rows_matched, serial.rows_scanned);
+  EXPECT_EQ(partitioned.heap_records, serial.heap_records);
+  EXPECT_EQ(partitioned.arena_bytes, serial.arena_bytes);
+  EXPECT_EQ(partitioned.rows_scanned, serial.rows_scanned);
+  EXPECT_EQ(partitioned.rows_matched, serial.rows_matched);
+  EXPECT_EQ(partitioned.predicate_evals, serial.predicate_evals);
 }
 
 // --- EXPLAIN / EXPLAIN ANALYZE ---------------------------------------
@@ -270,6 +339,54 @@ TEST_F(QueryProfileSuite, ExplainSelectDescribesPlanWithoutRunning) {
   std::string json = explained->RenderJson();
   EXPECT_NE(json.find("\"analyzed\":false"), std::string::npos);
   EXPECT_NE(json.find("\"op\":\"scan\""), std::string::npos);
+}
+
+// Two dotted paths into one attribute mask that attribute once, as the
+// scan decodes it: EXPLAIN reports the mask ExecuteScan runs with, for
+// a scan and for a join's input.
+TEST(ExplainProjectionTest, DottedPathsSharingAnAttributeMaskItOnce) {
+  auto db = std::move(*Database::CreateInMemory("shapes"));
+  ASSERT_TRUE(db->DefineSchema(R"(
+class point { public: int x; int y; };
+class shape { public: string name; point origin; int area; };
+)")
+                  .ok());
+  for (int i = 0; i < 10; ++i) {
+    Value origin =
+        Value::Struct({{"x", Value::Int(i)}, {"y", Value::Int(2 * i)}});
+    ASSERT_TRUE(db->CreateObject(
+                      "shape",
+                      Value::Struct({{"name", Value::String("s")},
+                                     {"origin", std::move(origin)},
+                                     {"area", Value::Int(i)}}))
+                    .ok());
+  }
+  Predicate predicate = *ParsePredicate("origin.x > 2 && origin.y < 14");
+  auto plan = db->ExplainSelect("shape", predicate, false);
+  ASSERT_TRUE(plan.ok());
+  EXPECT_NE(plan->RenderText().find("projection: masked (1 attributes)"),
+            std::string::npos)
+      << plan->RenderText();
+
+  // The scan keeps `origin` and skips `name` and `area` in every row.
+  auto analyzed = db->ExplainSelect("shape", predicate, true);
+  ASSERT_TRUE(analyzed.ok());
+  EXPECT_EQ(analyzed->totals.rows_scanned, 10u);
+  EXPECT_EQ(analyzed->totals.rows_skipped_decode, 20u);
+  EXPECT_EQ(analyzed->root.rows_out, 4u);  // x = 3, 4, 5, 6
+
+  Predicate join = *ParsePredicate(
+      "left.origin.x == right.origin.y && left.origin.y < 10");
+  auto join_plan = db->ExplainJoin("shape", "shape", join, false);
+  ASSERT_TRUE(join_plan.ok());
+  ASSERT_EQ(join_plan->root.children.size(), 2u);
+  for (const exec::PlanNode& side : join_plan->root.children) {
+    bool masked_once = false;
+    for (const auto& [key, value] : side.props) {
+      if (key == "projection") masked_once = value == "masked (1 attributes)";
+    }
+    EXPECT_TRUE(masked_once) << join_plan->RenderText();
+  }
 }
 
 TEST_F(QueryProfileSuite, ExplainPredictsIdsOnlyFastPath) {
@@ -310,8 +427,7 @@ TEST_F(QueryProfileSuite, ExplainAnalyzeMergesIntoEnclosingProfile) {
   ASSERT_TRUE(explained.ok());
   // The nested analysis profile merged back: session totals would not
   // lose the work EXPLAIN ANALYZE performed.
-  EXPECT_EQ(outer.Snapshot().rows_scanned,
-            explained->totals.rows_scanned);
+  EXPECT_EQ(outer.rows_scanned, explained->totals.rows_scanned);
 }
 
 TEST_F(QueryProfileSuite, ExplainJoinPredictsStrategy) {
@@ -340,7 +456,7 @@ TEST_F(QueryProfileSuite, ExplainAnalyzeJoinActualsSumToTotals) {
   ASSERT_TRUE(explained->analyzed);
   ASSERT_EQ(explained->root.children.size(), 2u);
 
-  obs::OpProfileStats sum;
+  obs::OpProfile sum;
   sum += explained->root.children[0].actual;  // left scan
   sum += explained->root.children[1].actual;  // right scan
   sum += explained->root.actual;              // match phase
@@ -386,7 +502,7 @@ TEST_F(QueryProfileSuite, ProfileAgreesWithGlobalCounters) {
   }
   uint64_t lookups = global("pool.fetch.lookups") - lookups_before;
   uint64_t prefetches = global("pool.prefetches") - prefetches_before;
-  obs::OpProfileStats s = profile.Snapshot();
+  const obs::OpProfile& s = profile;
   EXPECT_GT(s.pool_lookups, 0u);
   EXPECT_GT(prefetches, 0u);
   // Other tests don't run concurrently in this process, so the global
@@ -500,7 +616,7 @@ TEST(SlowOpLogTest, ZeroThresholdDisablesCapture) {
 TEST(SlowOpLogTest, RingOverwritesOldestBeyondCapacity) {
   obs::SlowOpLog& log = obs::SlowOpLog::Global();
   log.ResetForTest();
-  obs::OpProfileStats stats;
+  obs::OpProfile stats;
   const uint64_t total = obs::SlowOpLog::kCapacity + 22;
   for (uint64_t i = 0; i < total; ++i) {
     stats.rows_scanned = i;

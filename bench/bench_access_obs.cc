@@ -44,15 +44,8 @@ void RunChase(odb::Session& session, const std::vector<odb::Oid>& oids) {
 }
 
 std::vector<odb::Oid> ChaseOids(odb::Database* db) {
-  std::vector<odb::Oid> oids;
-  odb::Oid at = ValueOrDie(db->FirstObject("employee"), "first");
-  oids.push_back(at);
-  for (int i = 0; i < 15; ++i) {
-    Result<odb::Oid> next = db->NextObject(at);
-    if (!next.ok()) break;
-    at = *next;
-    oids.push_back(at);
-  }
+  std::vector<odb::Oid> oids = ValueOrDie(db->ScanCluster("employee"), "scan");
+  if (oids.size() > 16) oids.resize(16);
   return oids;
 }
 

@@ -52,7 +52,8 @@ void BM_MaskedDisplayRender(benchmark::State& state) {
   bool projected = state.range(1) == 1;
   auto db = WideDb(attrs);
   odb::ObjectBuffer obj = ValueOrDie(
-      db->GetObject(ValueOrDie(db->FirstObject("wide"), "first")), "get");
+      db->GetObject(ValueOrDie(db->ScanCluster("wide"), "scan").front()),
+      "get");
   std::vector<std::string> displaylist =
       ValueOrDie(dynlink::SynthesizeDisplayList(db->schema(), "wide"),
                  "list");

@@ -4,7 +4,6 @@
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"
-#include "odb/exec/executor.h"
 #include "odb/predicate.h"
 
 namespace ode::bench {
@@ -35,7 +34,7 @@ void BM_PredicateEvaluate(benchmark::State& state) {
       odb::ParsePredicate("age > 30 && salary >= 60000"), "parse");
   odb::ObjectBuffer emp = ValueOrDie(
       session.db->GetObject(
-          ValueOrDie(session.db->FirstObject("employee"), "first")),
+          ValueOrDie(session.db->ScanCluster("employee"), "scan").front()),
       "get");
   for (auto _ : state) {
     benchmark::DoNotOptimize(ValueOrDie(p.Evaluate(emp.value), "eval"));
@@ -75,28 +74,6 @@ void BM_SelectByClusterSize(benchmark::State& state) {
 }
 BENCHMARK(BM_SelectByClusterSize)->Arg(100)->Arg(1000)->Arg(10000);
 
-void BM_ParallelSelect(benchmark::State& state) {
-  // The batched executor's partitioned scan: same 10k-object cluster
-  // and predicate at 1 / 2 / 4 worker threads. Speedup tracks physical
-  // cores; on a single-core host the three arms should roughly tie.
-  int parallelism = static_cast<int>(state.range(0));
-  LabSession session = BigLab(10000);
-  odb::Predicate p =
-      ValueOrDie(odb::ParsePredicate("age >= 45"), "parse");
-  odb::exec::ScanSpec spec;
-  spec.class_name = "employee";
-  spec.predicate = &p;
-  spec.parallelism = parallelism;
-  for (auto _ : state) {
-    odb::exec::ScanResult result =
-        ValueOrDie(odb::exec::ExecuteScan(session.db.get(), spec),
-                   "scan");
-    benchmark::DoNotOptimize(result.rows.size());
-  }
-  state.SetItemsProcessed(state.iterations() * 10000);
-  state.counters["threads"] = parallelism;
-}
-BENCHMARK(BM_ParallelSelect)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
 void BM_FilteredSequencing(benchmark::State& state) {
   // The user-visible behaviour: `next` skips non-matching objects.

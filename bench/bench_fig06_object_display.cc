@@ -44,7 +44,7 @@ void BM_DisplayFunctionText(benchmark::State& state) {
       ValueOrDie(linker->Load("lab", "employee", "text"), "load");
   odb::ObjectBuffer emp = ValueOrDie(
       session.db->GetObject(
-          ValueOrDie(session.db->FirstObject("employee"), "first")),
+          ValueOrDie(session.db->ScanCluster("employee"), "scan").front()),
       "get");
   for (auto _ : state) {
     benchmark::DoNotOptimize(ValueOrDie((*fn)(emp, {}, {}), "display"));
@@ -59,7 +59,7 @@ void BM_DisplayFunctionPicture(benchmark::State& state) {
       ValueOrDie(linker->Load("lab", "employee", "picture"), "load");
   odb::ObjectBuffer emp = ValueOrDie(
       session.db->GetObject(
-          ValueOrDie(session.db->FirstObject("employee"), "first")),
+          ValueOrDie(session.db->ScanCluster("employee"), "scan").front()),
       "get");
   for (auto _ : state) {
     benchmark::DoNotOptimize(ValueOrDie((*fn)(emp, {}, {}), "display"));

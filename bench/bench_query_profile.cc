@@ -7,8 +7,7 @@
 //     disabled" contract.
 //   *_ProfilingOn — an OpProfile attached for the duration: every
 //     charge site pays a few plain adds into the calling thread's
-//     profile (a parallel scan also adds each partition's profile into
-//     the caller's after the join).
+//     profile.
 //   *_SessionProfiled — the full ProfiledOp path a real session op
 //     takes (fresh profile, one relaxed add per non-zero counter into
 //     the session totals, slow-op threshold check). CI gates the on/off
@@ -19,7 +18,6 @@
 
 #include "bench/bench_util.h"
 #include "common/op_profile.h"
-#include "odb/exec/executor.h"
 #include "odb/exec/explain.h"
 #include "odb/predicate.h"
 
@@ -74,7 +72,7 @@ BENCHMARK(BM_SelectSessionProfiled);
 void BM_GetObjectProfilingOff(benchmark::State& state) {
   LabSession session = LabSession::Create(BenchConfig());
   odb::Oid first =
-      ValueOrDie(session.db->FirstObject("employee"), "first");
+      ValueOrDie(session.db->ScanCluster("employee"), "scan").front();
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         ValueOrDie(session.db->GetObject(first), "get"));
@@ -85,7 +83,7 @@ BENCHMARK(BM_GetObjectProfilingOff);
 void BM_GetObjectProfilingOn(benchmark::State& state) {
   LabSession session = LabSession::Create(BenchConfig());
   odb::Oid first =
-      ValueOrDie(session.db->FirstObject("employee"), "first");
+      ValueOrDie(session.db->ScanCluster("employee"), "scan").front();
   obs::OpProfile profile;
   obs::OpContextScope scope(obs::OpContext{.profile = &profile});
   for (auto _ : state) {
@@ -99,43 +97,13 @@ BENCHMARK(BM_GetObjectProfilingOn);
 void BM_GetObjectSessionProfiled(benchmark::State& state) {
   LabSession session = LabSession::Create(BenchConfig());
   odb::Oid first =
-      ValueOrDie(session.db->FirstObject("employee"), "first");
+      ValueOrDie(session.db->ScanCluster("employee"), "scan").front();
   odb::Session db_session = session.db->OpenSession();
   for (auto _ : state) {
     benchmark::DoNotOptimize(ValueOrDie(db_session.GetObject(first), "get"));
   }
 }
 BENCHMARK(BM_GetObjectSessionProfiled);
-
-void BM_ParallelScanProfilingOff(benchmark::State& state) {
-  LabSession session = LabSession::Create(BenchConfig());
-  odb::Predicate predicate = AgePredicate();
-  odb::exec::ScanSpec spec;
-  spec.class_name = "employee";
-  spec.predicate = &predicate;
-  spec.parallelism = 4;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ValueOrDie(
-        odb::exec::ExecuteScan(session.db.get(), spec), "scan"));
-  }
-}
-BENCHMARK(BM_ParallelScanProfilingOff);
-
-void BM_ParallelScanProfilingOn(benchmark::State& state) {
-  LabSession session = LabSession::Create(BenchConfig());
-  odb::Predicate predicate = AgePredicate();
-  odb::exec::ScanSpec spec;
-  spec.class_name = "employee";
-  spec.predicate = &predicate;
-  spec.parallelism = 4;
-  obs::OpProfile profile;
-  obs::OpContextScope scope(obs::OpContext{.profile = &profile});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ValueOrDie(
-        odb::exec::ExecuteScan(session.db.get(), spec), "scan"));
-  }
-}
-BENCHMARK(BM_ParallelScanProfilingOn);
 
 // EXPLAIN ANALYZE's own cost relative to just running the query: the
 // plan rendering plus the nested profile should stay a thin wrapper.

@@ -19,9 +19,8 @@ namespace ode::obs {
 
 /// One operation's resource charges: the numbers EXPLAIN ANALYZE, the
 /// slow-op ring and the session inspector render. Only the thread
-/// running the operation writes it. A parallel-scan partition charges
-/// a profile of its own, which the caller adds into its profile after
-/// the join (see `OpContext`), so the counters are plain integers.
+/// running the operation writes it (see `OpContext`), so the counters
+/// are plain integers.
 struct OpProfile {
   // Buffer pool (storage layer).
   uint64_t pool_lookups = 0;
@@ -41,7 +40,6 @@ struct OpProfile {
   uint64_t rows_skipped_decode = 0;  ///< attribute decodes avoided
   uint64_t predicate_evals = 0;
   uint64_t batches = 0;
-  uint64_t partitions = 0;
   uint64_t join_build_rows = 0;
   uint64_t join_probe_rows = 0;
   uint64_t join_pairs = 0;
@@ -76,7 +74,6 @@ inline constexpr OpProfileCounter kOpProfileCounters[] = {
     {"rows_skipped_decode", &OpProfile::rows_skipped_decode},
     {"predicate_evals", &OpProfile::predicate_evals},
     {"batches", &OpProfile::batches},
-    {"partitions", &OpProfile::partitions},
     {"join_build_rows", &OpProfile::join_build_rows},
     {"join_probe_rows", &OpProfile::join_probe_rows},
     {"join_pairs", &OpProfile::join_pairs},

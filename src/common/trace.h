@@ -46,11 +46,9 @@ struct TraceContext {
 ///     ODE_TRACE_SPAN("pool.fetch");               // child of ctx.span_id
 ///   });
 ///
-/// A profile has one writer, the thread running its op. A worker the
-/// op joins before it returns (a parallel-scan partition) charges a
-/// profile of its own, which the op adds into its profile after the
-/// join. A worker that is never joined (read-ahead) charges none: the
-/// op, and the profile on its stack, may be gone by the time it runs.
+/// A profile has one writer, the thread running its op. A worker that
+/// outlives the op (read-ahead) charges no profile: the op, and the
+/// profile on its stack, may be gone by the time it runs.
 struct OpContext {
   uint64_t trace_id = 0;    ///< 0 = detached (spans start a fresh trace)
   uint64_t span_id = 0;     ///< parent for spans opened under this context

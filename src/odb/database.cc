@@ -534,38 +534,6 @@ Result<std::string> Database::ClassOfCluster(ClusterId id) const {
   return info->class_name;
 }
 
-Result<Oid> Database::FirstObject(const std::string& class_name) {
-  ReaderMutexLock lock(schema_mu_);
-  ODE_ASSIGN_OR_RETURN(const ClusterInfo* info,
-                       catalog_->FindCluster(class_name));
-  ODE_ASSIGN_OR_RETURN(HeapFile * heap, GetHeap(info->id));
-  ODE_ASSIGN_OR_RETURN(uint64_t id, heap->FirstId());
-  return Oid{info->id, id};
-}
-
-Result<Oid> Database::LastObject(const std::string& class_name) {
-  ReaderMutexLock lock(schema_mu_);
-  ODE_ASSIGN_OR_RETURN(const ClusterInfo* info,
-                       catalog_->FindCluster(class_name));
-  ODE_ASSIGN_OR_RETURN(HeapFile * heap, GetHeap(info->id));
-  ODE_ASSIGN_OR_RETURN(uint64_t id, heap->LastId());
-  return Oid{info->id, id};
-}
-
-Result<Oid> Database::NextObject(Oid oid) {
-  ReaderMutexLock lock(schema_mu_);
-  ODE_ASSIGN_OR_RETURN(HeapFile * heap, GetHeap(oid.cluster));
-  ODE_ASSIGN_OR_RETURN(uint64_t id, heap->NextId(oid.local));
-  return Oid{oid.cluster, id};
-}
-
-Result<Oid> Database::PrevObject(Oid oid) {
-  ReaderMutexLock lock(schema_mu_);
-  ODE_ASSIGN_OR_RETURN(HeapFile * heap, GetHeap(oid.cluster));
-  ODE_ASSIGN_OR_RETURN(uint64_t id, heap->PrevId(oid.local));
-  return Oid{oid.cluster, id};
-}
-
 Result<std::vector<Oid>> Database::ScanCluster(
     const std::string& class_name) {
   ReaderMutexLock lock(schema_mu_);
@@ -637,15 +605,15 @@ Result<exec::ExplainResult> Database::ExplainJoin(
 
 Status Database::ScanRawRecords(const std::string& class_name, uint64_t from,
                                 size_t limit, RawRecordBatch* out,
-                                bool forward, uint64_t last) {
+                                bool forward) {
   out->clear();
   ReaderMutexLock lock(schema_mu_);
   ODE_ASSIGN_OR_RETURN(const ClusterInfo* info,
                        catalog_->FindCluster(class_name));
   ODE_ASSIGN_OR_RETURN(HeapFile * heap, GetHeap(info->id));
   out->cluster = info->id;
-  Status status = heap->RecordsInto(from, forward, last, limit, &out->arena,
-                                    &out->records);
+  Status status =
+      heap->RecordsInto(from, forward, limit, &out->arena, &out->records);
   if (status.IsOutOfRange()) return Status::OK();  // exhausted: empty batch
   return status;
 }
@@ -802,31 +770,6 @@ Status Session::DeleteObject(Oid oid) {
   return db_->DeleteObject(oid);
 }
 
-Result<uint64_t> Session::ClusterCount(const std::string& class_name) {
-  obs::ProfiledOp op(entry_.get(), "cluster_count");
-  return db_->ClusterCount(class_name);
-}
-
-Result<Oid> Session::FirstObject(const std::string& class_name) {
-  obs::ProfiledOp op(entry_.get(), "first_object");
-  return db_->FirstObject(class_name);
-}
-
-Result<Oid> Session::LastObject(const std::string& class_name) {
-  obs::ProfiledOp op(entry_.get(), "last_object");
-  return db_->LastObject(class_name);
-}
-
-Result<Oid> Session::NextObject(Oid oid) {
-  obs::ProfiledOp op(entry_.get(), "next_object");
-  return db_->NextObject(oid);
-}
-
-Result<Oid> Session::PrevObject(Oid oid) {
-  obs::ProfiledOp op(entry_.get(), "prev_object");
-  return db_->PrevObject(oid);
-}
-
 Result<std::vector<Oid>> Session::ScanCluster(const std::string& class_name) {
   obs::ProfiledOp op(entry_.get(), "scan_cluster");
   return db_->ScanCluster(class_name);
@@ -909,22 +852,5 @@ Result<ObjectBuffer> ObjectCursor::Step(bool forward) {
 Result<ObjectBuffer> ObjectCursor::Next() { return Step(/*forward=*/true); }
 
 Result<ObjectBuffer> ObjectCursor::Prev() { return Step(/*forward=*/false); }
-
-Status ObjectCursor::Seek(Oid oid) {
-  ODE_ASSIGN_OR_RETURN(ObjectBuffer buffer, db_->GetObject(oid));
-  if (buffer.class_name != class_name_) {
-    return Status::InvalidArgument("object " + oid.ToString() +
-                                   " is not in cluster '" + class_name_ +
-                                   "'");
-  }
-  ODE_ASSIGN_OR_RETURN(bool match,
-                       compiled_.EvaluateOne(buffer.value, &scratch_));
-  if (!match) {
-    return Status::InvalidArgument("object " + oid.ToString() +
-                                   " does not satisfy the cursor predicate");
-  }
-  current_ = oid;
-  return Status::OK();
-}
 
 }  // namespace ode::odb

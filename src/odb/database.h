@@ -108,11 +108,12 @@ class Session;
 ///
 /// This is the stand-in for the Ode object manager the paper's OdeView
 /// calls into: it materializes stored objects into `ObjectBuffer`s,
-/// sequences through clusters (`first` / `next` / `previous`), filters
-/// with selection predicates, and enforces O++ constraints/triggers.
+/// sequences through clusters (`reset` / `next` / `previous`, via
+/// `ObjectCursor`), filters with selection predicates, and enforces O++
+/// constraints/triggers.
 ///
 /// Thread-safety: object-level operations (create/get/update/delete,
-/// sequencing, scans, selects) may be called from any number of
+/// cursor steps, scans, selects) may be called from any number of
 /// threads — open a `Session` per worker with `OpenSession()`. Schema
 /// operations (DefineSchema/AddClass/AlterClass/DropClass) and
 /// `Sync()` take an exclusive lock that drains all in-flight object
@@ -192,16 +193,11 @@ class Database {
   /// Deletes the object (fires on_delete triggers).
   Status DeleteObject(Oid oid);
 
-  // --- Cluster sequencing (the object-set window's control panel) -----
+  // --- Clusters (stepping through one is `ObjectCursor`'s job) --------
 
   Result<uint64_t> ClusterCount(const std::string& class_name);
   Result<ClusterId> ClusterOf(const std::string& class_name) const;
   Result<std::string> ClassOfCluster(ClusterId id) const;
-
-  Result<Oid> FirstObject(const std::string& class_name);
-  Result<Oid> LastObject(const std::string& class_name);
-  Result<Oid> NextObject(Oid oid);
-  Result<Oid> PrevObject(Oid oid);
 
   /// Counter bumped by every successful mutation (schema changes and
   /// object create/update/delete). Lets cursors and caches detect that
@@ -241,18 +237,17 @@ class Database {
 
   /// The one raw read records leave a cluster by, for the executor and
   /// `ObjectCursor`: up to `limit` (local id, record bytes) pairs with
-  /// id greater than `from` and at most `last` (ascending), or less
-  /// than `from` when `forward` is false (descending; `last` unused),
-  /// in one lock round-trip. An exhausted scan returns an empty batch
-  /// (never OutOfRange). The schema lock is held per call, not across
-  /// the whole scan, so scans interleave with mutations; callers
-  /// needing a stable snapshot bound the scan by `mutation_epoch()`.
-  /// `*out` is cleared (capacity retained) before anything can fail,
-  /// then refilled, so a looping caller reuses the arena instead of
-  /// reallocating per batch.
+  /// id greater than `from` (ascending), or less than `from` when
+  /// `forward` is false (descending), in one lock round-trip. An
+  /// exhausted scan returns an empty batch (never OutOfRange). The
+  /// schema lock is held per call, not across the whole scan, so scans
+  /// interleave with mutations; callers needing a stable snapshot bound
+  /// the scan by `mutation_epoch()`. `*out` is cleared (capacity
+  /// retained) before anything can fail, then refilled, so a looping
+  /// caller reuses the arena instead of reallocating per batch.
   Status ScanRawRecords(const std::string& class_name, uint64_t from,
                         size_t limit, RawRecordBatch* out,
-                        bool forward = true, uint64_t last = UINT64_MAX);
+                        bool forward = true);
 
   // --- Triggers --------------------------------------------------------
 
@@ -460,11 +455,6 @@ class Session {
   Status UpdateObject(Oid oid, Value value);
   Status DeleteObject(Oid oid);
 
-  Result<uint64_t> ClusterCount(const std::string& class_name);
-  Result<Oid> FirstObject(const std::string& class_name);
-  Result<Oid> LastObject(const std::string& class_name);
-  Result<Oid> NextObject(Oid oid);
-  Result<Oid> PrevObject(Oid oid);
   Result<std::vector<Oid>> ScanCluster(const std::string& class_name);
   Result<std::vector<Oid>> Select(const std::string& class_name,
                                   const Predicate& predicate);
@@ -521,9 +511,6 @@ class ObjectCursor {
   /// buffer; OutOfRange at either end (position is kept).
   Result<ObjectBuffer> Next();
   Result<ObjectBuffer> Prev();
-
-  /// Positions on a specific object (it must match the predicate).
-  Status Seek(Oid oid);
 
  private:
   Result<ObjectBuffer> Step(bool forward);

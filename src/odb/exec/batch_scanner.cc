@@ -7,20 +7,17 @@
 namespace ode::odb::exec {
 
 BatchScanner::BatchScanner(Database* db, std::string class_name,
-                           uint64_t after, uint64_t last,
                            const ProjectionMask* mask, size_t batch_size)
     : db_(db),
       class_name_(std::move(class_name)),
-      cursor_(after),
-      last_(last),
       mask_(mask),
       batch_size_(batch_size == 0 ? kDefaultBatchSize : batch_size) {}
 
 Result<bool> BatchScanner::Next(RowBatch* batch) {
   batch->clear();
   if (done_) return false;
-  ODE_RETURN_IF_ERROR(db_->ScanRawRecords(class_name_, cursor_, batch_size_,
-                                          &raw_, /*forward=*/true, last_));
+  ODE_RETURN_IF_ERROR(
+      db_->ScanRawRecords(class_name_, cursor_, batch_size_, &raw_));
   if (raw_.records.empty()) {
     done_ = true;
     return false;

@@ -37,30 +37,26 @@ struct RowBatch {
   }
 };
 
-/// Streams one cluster (or an id sub-range of it — a parallel scan
-/// partition) in decoded batches. Each batch is one
-/// `Database::ScanRawRecords` lock round-trip; records are decoded
+/// Streams one cluster in decoded batches, ascending id. Each batch is
+/// one `Database::ScanRawRecords` lock round-trip; records are decoded
 /// under the projection mask, so attributes outside it cost a skip,
 /// not a materialization.
 class BatchScanner {
  public:
-  /// Scans ids in (`after`, `last`]; pass `after = 0`,
-  /// `last = UINT64_MAX` for the whole cluster. `mask` (optional, not
-  /// owned, must outlive the scanner) selects the top-level attributes
-  /// to materialize; null decodes fully.
-  BatchScanner(Database* db, std::string class_name, uint64_t after,
-               uint64_t last, const ProjectionMask* mask,
+  /// `mask` (optional, not owned, must outlive the scanner) selects the
+  /// top-level attributes to materialize; null decodes fully.
+  BatchScanner(Database* db, std::string class_name,
+               const ProjectionMask* mask,
                size_t batch_size = kDefaultBatchSize);
 
   /// Fills `*batch` with the next run of records. Returns false when
-  /// the range is exhausted (batch left empty).
+  /// the cluster is exhausted (batch left empty).
   Result<bool> Next(RowBatch* batch);
 
  private:
   Database* db_;
   std::string class_name_;
-  uint64_t cursor_;  ///< last id delivered (exclusive lower bound)
-  uint64_t last_;
+  uint64_t cursor_ = 0;  ///< last id delivered (exclusive lower bound)
   const ProjectionMask* mask_;
   size_t batch_size_;
   bool done_ = false;

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
-#include <limits>
 #include <thread>
 #include <unordered_map>
 
@@ -68,14 +67,12 @@ uint64_t MonotonicNs() {
           .count());
 }
 
-/// Scans one contiguous id range (`after`, `last`] of the cluster,
-/// filtering batches through the compiled predicate.
-Status ScanPartition(Database* db, const ScanSpec& spec,
-                     const CompiledPredicate& compiled,
-                     const ProjectionMask* mask, uint64_t after,
-                     uint64_t last, ScanResult* out) {
-  BatchScanner scanner(db, spec.class_name, after, last, mask,
-                       spec.batch_size);
+/// Scans the cluster batch by batch, filtering each batch through the
+/// compiled predicate.
+Status ScanBatches(Database* db, const ScanSpec& spec,
+                   const CompiledPredicate& compiled,
+                   const ProjectionMask* mask, ScanResult* out) {
+  BatchScanner scanner(db, spec.class_name, mask, spec.batch_size);
   CompiledPredicate::Scratch scratch;
   RowBatch batch;
   while (true) {
@@ -124,16 +121,12 @@ void PublishScanStats(const ScanStats& stats) {
   ExecRowsScanned().Add(stats.rows_scanned);
   ExecRowsMatched().Add(stats.rows_matched);
   ExecRowsSkippedDecode().Add(stats.skipped_fields);
-  // Exec-level charges land once, on the caller's profile. Partitions
-  // charge only their own storage and lock work, into profiles the
-  // caller has added in by now.
   if (auto* profile = obs::CurrentOpProfile()) {
     profile->rows_scanned += stats.rows_scanned;
     profile->rows_matched += stats.rows_matched;
     profile->rows_skipped_decode += stats.skipped_fields;
     profile->predicate_evals += stats.predicate_evals;
     profile->batches += stats.batches;
-    profile->partitions += static_cast<uint64_t>(stats.partitions);
   }
   obs::Journal::Global().Append(obs::JournalEvent::kExecScan,
                                 static_cast<int64_t>(stats.rows_scanned),
@@ -184,75 +177,7 @@ Result<ScanResult> ExecuteScan(Database* db, const ScanSpec& spec) {
     return result;
   }
 
-  size_t workers = spec.parallelism > 1
-                       ? static_cast<size_t>(spec.parallelism)
-                       : 1;
-  if (workers <= 1) {
-    ODE_RETURN_IF_ERROR(ScanPartition(
-        db, spec, compiled, mask_ptr, /*after=*/0,
-        /*last=*/std::numeric_limits<uint64_t>::max(), &result));
-    PublishScanStats(result.stats);
-    return result;
-  }
-
-  // Parallel path: snapshot the id set, split it into contiguous
-  // ranges, scan each on its own thread. Partitions only ever take
-  // the schema lock shared (rank kDbSchema down through the pool
-  // ranks), so workers obey the PR-4 lock order independently.
-  ODE_ASSIGN_OR_RETURN(std::vector<Oid> ids,
-                       db->ScanCluster(spec.class_name));
-  workers = std::min(workers, ids.empty() ? size_t{1} : ids.size());
-  if (workers <= 1) {
-    ODE_RETURN_IF_ERROR(ScanPartition(
-        db, spec, compiled, mask_ptr, /*after=*/0,
-        /*last=*/std::numeric_limits<uint64_t>::max(), &result));
-    PublishScanStats(result.stats);
-    return result;
-  }
-  const size_t chunk = (ids.size() + workers - 1) / workers;
-  std::vector<ScanResult> parts(workers);
-  std::vector<Status> statuses(workers, Status::OK());
-  // Workers keep the caller's trace and session ids, so their spans
-  // and access events land where the serial scan's would. A profile
-  // has one writer, so each charges its own, and the caller adds them
-  // into its profile after the join.
-  obs::OpContext caller = obs::CurrentOpContext();
-  std::vector<obs::OpProfile> profiles(workers);
-  std::vector<std::thread> threads;
-  threads.reserve(workers);
-  for (size_t w = 0; w < workers; ++w) {
-    size_t begin = w * chunk;
-    size_t end = std::min(begin + chunk, ids.size());
-    if (begin >= end) break;
-    // Strictly follow the previous partition's last id, so records
-    // created between the snapshot and the scan fall into no
-    // partition twice.
-    uint64_t after = begin == 0 ? 0 : ids[begin - 1].local;
-    uint64_t last = ids[end - 1].local;
-    threads.emplace_back([&, w, after, last] {
-      obs::OpContext worker = caller;
-      if (worker.profile != nullptr) worker.profile = &profiles[w];
-      obs::OpContextScope adopt(worker);
-      ODE_TRACE_SPAN("exec.scan.partition");
-      statuses[w] =
-          ScanPartition(db, spec, compiled, mask_ptr, after, last, &parts[w]);
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  if (caller.profile != nullptr) {
-    for (const obs::OpProfile& part : profiles) *caller.profile += part;
-  }
-  for (const Status& status : statuses) ODE_RETURN_IF_ERROR(status);
-  result.stats.partitions = static_cast<int>(threads.size());
-  for (ScanResult& part : parts) {
-    result.stats.batches += part.stats.batches;
-    result.stats.rows_scanned += part.stats.rows_scanned;
-    result.stats.rows_matched += part.stats.rows_matched;
-    result.stats.skipped_fields += part.stats.skipped_fields;
-    result.stats.predicate_evals += part.stats.predicate_evals;
-    result.stats.arena_bytes += part.stats.arena_bytes;
-    for (ScanRow& row : part.rows) result.rows.push_back(std::move(row));
-  }
+  ODE_RETURN_IF_ERROR(ScanBatches(db, spec, compiled, mask_ptr, &result));
   PublishScanStats(result.stats);
   return result;
 }

@@ -36,9 +36,6 @@ struct ScanSpec {
   /// `Select`, which still need the decode for filtering).
   bool emit_values = true;
   size_t batch_size = kDefaultBatchSize;
-  /// Worker threads; ids are split into this many contiguous
-  /// partitions scanned concurrently (1 = inline on the caller).
-  int parallelism = 1;
   /// Test/demo hook: sleep this long after each batch, making the scan
   /// predictably slow (slow-op log demos, CI latency assertions).
   uint64_t injected_delay_ns_per_batch = 0;
@@ -59,7 +56,6 @@ struct ScanStats {
   uint64_t skipped_fields = 0;   ///< attribute decodes avoided
   uint64_t predicate_evals = 0;  ///< rows pushed through the filter
   uint64_t arena_bytes = 0;      ///< raw record bytes decoded
-  int partitions = 1;
 };
 
 struct ScanResult {
@@ -80,9 +76,8 @@ struct ScanProjection {
 ScanProjection PlanScanProjection(const ScanSpec& spec,
                                   const CompiledPredicate& compiled);
 
-/// Runs a batched, optionally parallel, filtered + projected scan.
-/// Rows come back in ascending id order regardless of parallelism
-/// (partitions are contiguous id ranges concatenated in order).
+/// Runs a batched, filtered + projected scan on the calling thread.
+/// Rows come back in ascending id order.
 Result<ScanResult> ExecuteScan(Database* db, const ScanSpec& spec);
 
 /// One join: predicate over `left.<attr>` / `right.<attr>` paths.

@@ -108,7 +108,6 @@ PlanNode DescribeScan(const ScanSpec& spec) {
       "compiled", std::to_string(compiled.nodes().size()) + " nodes, " +
                       std::to_string(compiled.slots().size()) + " slots");
   node.props.emplace_back("batch_size", std::to_string(spec.batch_size));
-  node.props.emplace_back("parallelism", std::to_string(spec.parallelism));
   return node;
 }
 

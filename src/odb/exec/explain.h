@@ -51,7 +51,7 @@ bool FindHashJoinKey(const Predicate& predicate, std::string* left_path,
 
 /// Explains (and with `analyze` runs) a batched scan. The static plan
 /// reports the scan strategy (ids-only fast path vs masked decode),
-/// the compiled predicate program size, and the partitioning; ANALYZE
+/// the compiled predicate program size, and the batch size; ANALYZE
 /// adds per-operator rows/pages/time from a nested `OpProfile` that
 /// is added back into the caller's current profile.
 Result<ExplainResult> ExplainScan(Database* db, const ScanSpec& spec,

@@ -1,6 +1,5 @@
 #include "odb/heap_file.h"
 
-#include <algorithm>
 #include <set>
 
 #include "common/coding.h"
@@ -14,14 +13,9 @@ namespace ode::odb {
 namespace {
 
 // Shared heap-layer instruments: scans over the full directory,
-// single-step sequential moves, records served by the batch read,
-// and the three mutation kinds.
+// records served by the batch read, and the three mutation kinds.
 obs::Counter& HeapScans() {
   static obs::Counter* c = obs::Registry::Global().counter("heap.scans");
-  return *c;
-}
-obs::Counter& HeapSeqSteps() {
-  static obs::Counter* c = obs::Registry::Global().counter("heap.seq_steps");
   return *c;
 }
 obs::Counter& HeapBatchRecords() {
@@ -367,65 +361,14 @@ Status HeapFile::DeleteLocked(uint64_t local_id) {
   return Status::OK();
 }
 
-Result<uint64_t> HeapFile::FirstId() const {
-  ReaderMutexLock lock(*mu_);
-  if (directory_.empty()) return Status::NotFound("cluster is empty");
-  return directory_.begin()->first;
-}
-
 Result<uint64_t> HeapFile::LastId() const {
   ReaderMutexLock lock(*mu_);
   if (directory_.empty()) return Status::NotFound("cluster is empty");
   return directory_.rbegin()->first;
 }
 
-Result<uint64_t> HeapFile::NextId(uint64_t after) const {
-  ReaderMutexLock lock(*mu_);
-  return NextIdLocked(after);
-}
-
-Result<uint64_t> HeapFile::NextIdLocked(uint64_t after) const {
-  auto it = directory_.upper_bound(after);
-  if (it == directory_.end()) {
-    return Status::OutOfRange("no object after id " + std::to_string(after));
-  }
-  // Read-ahead: while the caller materializes `it`, warm the page the
-  // *following* record lives on — the page `next` will need next.
-  // Sequencing is the control panel's next/previous button, an
-  // explicitly sequential walk, so it is not a point lookup.
-  auto follow = std::next(it);
-  if (follow != directory_.end() &&
-      follow->second.page != it->second.page) {
-    pool_->ReadAhead(follow->second.page, /*point_lookup=*/false);
-  }
-  HeapSeqSteps().Increment();
-  return it->first;
-}
-
-Result<uint64_t> HeapFile::PrevId(uint64_t before) const {
-  ReaderMutexLock lock(*mu_);
-  return PrevIdLocked(before);
-}
-
-Result<uint64_t> HeapFile::PrevIdLocked(uint64_t before) const {
-  auto it = directory_.lower_bound(before);
-  if (it == directory_.begin()) {
-    return Status::OutOfRange("no object before id " +
-                              std::to_string(before));
-  }
-  --it;
-  if (it != directory_.begin()) {
-    auto follow = std::prev(it);
-    if (follow->second.page != it->second.page) {
-      pool_->ReadAhead(follow->second.page, /*point_lookup=*/false);
-    }
-  }
-  HeapSeqSteps().Increment();
-  return it->first;
-}
-
-Status HeapFile::RecordsInto(uint64_t from, bool forward, uint64_t last,
-                             size_t limit, std::string* arena,
+Status HeapFile::RecordsInto(uint64_t from, bool forward, size_t limit,
+                             std::string* arena,
                              std::vector<RecordSpan>* spans) const {
   ODE_TRACE_SPAN("heap.batch_read");
   arena->clear();
@@ -433,11 +376,10 @@ Status HeapFile::RecordsInto(uint64_t from, bool forward, uint64_t last,
   ReaderMutexLock lock(*mu_);
   // Forward, `it` is the next record to read; backward, the next record
   // is the one before `it`. Either way the scan ends when `it` reaches
-  // `stop` (forward: the first record past both `from` and `last`).
+  // `stop`, the end of the directory in the scan's direction.
   auto it = forward ? directory_.upper_bound(from)
                     : directory_.lower_bound(from);
-  const auto stop = forward ? directory_.upper_bound(std::max(from, last))
-                            : directory_.begin();
+  const auto stop = forward ? directory_.end() : directory_.begin();
   if (it == stop) {
     return Status::OutOfRange(
         (forward ? "no object after id " : "no object before id ") +

@@ -34,11 +34,11 @@ namespace ode::odb {
 /// through a cluster.
 ///
 /// Thread-safety: every public method locks an internal reader/writer
-/// lock — lookups and sequencing run shared (concurrent scans proceed
+/// lock — lookups and batch reads run shared (concurrent scans proceed
 /// in parallel), mutations run exclusive. Page content is additionally
 /// protected by the buffer pool's per-frame latches, so several heaps
-/// sharing one pool are safe too. Sequencing (`NextId` / `PrevId`)
-/// schedules the following heap page on the pool's prefetch thread,
+/// sharing one pool are safe too. A batch read (`RecordsInto`)
+/// schedules the page after the batch on the pool's prefetch thread,
 /// accelerating `reset`/`next`/`previous` control-panel traffic.
 class HeapFile {
  public:
@@ -96,25 +96,20 @@ class HeapFile {
 
   bool Contains(uint64_t local_id) const;
 
-  /// Sequencing in ascending-id order; all fail with NotFound on an
-  /// empty heap / OutOfRange past either end.
-  Result<uint64_t> FirstId() const;
+  /// The highest id stored; NotFound on an empty heap.
   Result<uint64_t> LastId() const;
-  Result<uint64_t> NextId(uint64_t after) const;
-  Result<uint64_t> PrevId(uint64_t before) const;
 
-  /// The batched read every scan goes through: up to `limit` records
-  /// following `from` and no later than `last` (ascending when
-  /// `forward`) or preceding `from` (descending), under a single lock
-  /// round-trip. Consecutive records
-  /// on one page share a single pool fetch, so a batch costs a fraction
-  /// of the equivalent NextId/PrevId + Get sequence. Payloads are
-  /// appended to `*arena` back to back and described by `*spans` in
-  /// scan order; both are cleared first (capacity retained), so a warm
-  /// caller that reuses them pays no allocation per record. Fails with
-  /// OutOfRange when no record exists past `from`.
-  Status RecordsInto(uint64_t from, bool forward, uint64_t last,
-                     size_t limit, std::string* arena,
+  /// The batched read every scan and every cursor step goes through:
+  /// up to `limit` records following `from` (ascending when `forward`)
+  /// or preceding it (descending), under a single lock round-trip.
+  /// Consecutive records on one page share a single pool fetch.
+  /// Payloads are appended to `*arena` back to back and described by
+  /// `*spans` in scan order; both are cleared first (capacity
+  /// retained), so a warm caller that reuses them pays no allocation
+  /// per record. Fails with OutOfRange when no record exists past
+  /// `from`.
+  Status RecordsInto(uint64_t from, bool forward, size_t limit,
+                     std::string* arena,
                      std::vector<RecordSpan>* spans) const;
 
   /// All ids in ascending order (for tests and bulk operations).
@@ -165,10 +160,6 @@ class HeapFile {
 
   Status ScanChain() ODE_REQUIRES(*mu_);
   /// Unlocked implementations; callers hold `mu_` as noted.
-  Result<uint64_t> NextIdLocked(uint64_t after) const
-      ODE_REQUIRES_SHARED(*mu_);
-  Result<uint64_t> PrevIdLocked(uint64_t before) const
-      ODE_REQUIRES_SHARED(*mu_);
   Result<std::string> GetLocked(uint64_t local_id) const
       ODE_REQUIRES_SHARED(*mu_);
   /// Appends one record's payload to `*arena` and returns its length,

@@ -188,7 +188,8 @@ Status BuildLabDatabase(Database* db, const LabDbConfig& config) {
     std::vector<Value::Field> fields;
     std::string name = kFirstNames[e % kFirstNames.size()];
     if (e >= static_cast<int>(kFirstNames.size())) {
-      name += "_" + std::to_string(e / kFirstNames.size());
+      name += '_';
+      name += std::to_string(e / kFirstNames.size());
     }
     fields.push_back({"name", Value::String(name)});
     fields.push_back(

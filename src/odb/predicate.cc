@@ -226,11 +226,16 @@ std::string Predicate::ToString() const {
       return OperandToString(lhs_) + " " + std::string(CompareOpName(op_)) +
              " " + OperandToString(rhs_);
     case Kind::kAnd:
-      return "(" + children_[0].ToString() + ") && (" +
-             children_[1].ToString() + ")";
-    case Kind::kOr:
-      return "(" + children_[0].ToString() + ") || (" +
-             children_[1].ToString() + ")";
+    case Kind::kOr: {
+      // Appended piece by piece: GCC 12 mistakes `"(" + std::string&&`
+      // at -O3 for an overlapping copy (-Wrestrict).
+      std::string out = "(";
+      out += children_[0].ToString();
+      out += kind_ == Kind::kAnd ? ") && (" : ") || (";
+      out += children_[1].ToString();
+      out += ')';
+      return out;
+    }
     case Kind::kNot:
       return "!(" + children_[0].ToString() + ")";
   }

@@ -13,17 +13,15 @@
 
 namespace ode::view {
 
-namespace {
-
-constexpr int kPanelWidth = 46;
-
-/// The context a browse gesture runs under: the session's causal anchor
-/// and id, keeping the caller's profile.
 obs::OpContext GestureContext(const odb::Session& session) {
   obs::OpContext ctx = session.context();
   ctx.profile = obs::CurrentOpProfile();
   return ctx;
 }
+
+namespace {
+
+constexpr int kPanelWidth = 46;
 
 // Synchronized-browsing instruments. Cascades are sequencing
 // operations (next/prev/reset) that refresh a whole subtree; fan-out

@@ -37,6 +37,10 @@ struct BrowseContext {
   std::function<void(const std::string& class_name)> on_project_request;
 };
 
+/// The context a browse gesture runs under: the session's causal anchor
+/// and id, keeping the caller's profile.
+obs::OpContext GestureContext(const odb::Session& session);
+
 /// What a browse node ranges over.
 enum class BrowseNodeKind : uint8_t {
   kClusterSet,    ///< the paper's "object set" window over a cluster

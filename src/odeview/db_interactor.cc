@@ -500,6 +500,9 @@ void DbInteractor::set_privileged(bool privileged) {
   for (const auto& node : object_sets_) {
     (void)node->RefreshSubtree();
   }
+  for (const auto& view : join_views_) {
+    if (view->has_current()) (void)view->RefreshDisplays();
+  }
 }
 
 bool DbInteractor::privileged() const { return context_.privileged; }
@@ -508,6 +511,9 @@ Status DbInteractor::OnClassChanged(const std::string& class_name) {
   linker_.Invalidate(db_->name(), class_name);
   for (const auto& node : object_sets_) {
     ODE_RETURN_IF_ERROR(node->RefreshSubtree());
+  }
+  for (const auto& view : join_views_) {
+    if (view->has_current()) ODE_RETURN_IF_ERROR(view->RefreshDisplays());
   }
   // Class info/definition windows are refreshed by recreating them on
   // next open; mark existing ones closed so stale data is not shown.

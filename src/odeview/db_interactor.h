@@ -116,15 +116,16 @@ class DbInteractor {
   // --- Privileged (debug) mode -----------------------------------------------
 
   /// When enabled, synthesized displays "selectively violate"
-  /// encapsulation and show private members too (§4.1 item 3).
+  /// encapsulation and show private members too (§4.1 item 3). Open
+  /// browse trees and join views re-render at once.
   void set_privileged(bool privileged);
   bool privileged() const;
 
   // --- Schema change handling --------------------------------------------
 
   /// Called when a class definition changed out-of-band: invalidates
-  /// dynamically-loaded display functions and refreshes affected
-  /// browse trees — no recompilation of OdeView (§4.5).
+  /// dynamically-loaded display functions and refreshes the open
+  /// browse trees and join views — no recompilation of OdeView (§4.5).
   Status OnClassChanged(const std::string& class_name);
 
  private:

@@ -1,5 +1,6 @@
 #include "odeview/join_view.h"
 
+#include "common/op_profile.h"
 #include "common/strings.h"
 #include "dynlink/synthesized.h"
 #include "odb/exec/executor.h"
@@ -54,6 +55,10 @@ Status JoinView::Materialize() {
   // exists, batched nested loop otherwise — replacing the per-pair
   // GetObject + combined-struct cross product. The view keeps the
   // separation principle: it receives only the sequenced pair list.
+  // The join is one op of the interactor's session, so its scans and
+  // pairs reach the session totals and the slow-op ring.
+  obs::OpContextScope adopt(GestureContext(*context_->session));
+  obs::ProfiledOp op(context_->session->entry(), "join");
   odb::exec::JoinSpec spec;
   spec.left_class = left_class_;
   spec.right_class = right_class_;
@@ -101,9 +106,9 @@ Result<std::pair<odb::ObjectBuffer, odb::ObjectBuffer>> JoinView::Current()
   }
   const auto& [left, right] = pairs_[static_cast<size_t>(index_)];
   ODE_ASSIGN_OR_RETURN(odb::ObjectBuffer lbuf,
-                       context_->db->GetObject(left));
+                       context_->session->GetObject(left));
   ODE_ASSIGN_OR_RETURN(odb::ObjectBuffer rbuf,
-                       context_->db->GetObject(right));
+                       context_->session->GetObject(right));
   return std::make_pair(std::move(lbuf), std::move(rbuf));
 }
 
@@ -194,6 +199,9 @@ Status JoinView::RenderSide(const odb::ObjectBuffer& object, bool left) {
 }
 
 Status JoinView::RefreshDisplays() {
+  // One gesture of the interactor's session: both fetches land in the
+  // session's trace.
+  obs::OpContextScope adopt(GestureContext(*context_->session));
   ODE_ASSIGN_OR_RETURN(auto pair, Current());
   ODE_RETURN_IF_ERROR(RenderSide(pair.first, /*left=*/true));
   ODE_RETURN_IF_ERROR(RenderSide(pair.second, /*left=*/false));

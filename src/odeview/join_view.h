@@ -53,6 +53,11 @@ class JoinView {
   Status Prev();
   Status Reset();
 
+  /// Re-renders the current pair's two windows, e.g. after debug mode
+  /// or a class definition changed; FailedPrecondition with no current
+  /// pair.
+  Status RefreshDisplays();
+
   owl::WindowId panel_window() const { return panel_window_; }
   owl::WindowId left_window() const { return left_window_; }
   owl::WindowId right_window() const { return right_window_; }
@@ -64,7 +69,6 @@ class JoinView {
 
   Status Materialize();
   Status BuildPanel();
-  Status RefreshDisplays();
   /// Renders one side into its window via that class's display
   /// function (or the synthesized fallback).
   Status RenderSide(const odb::ObjectBuffer& object, bool left);

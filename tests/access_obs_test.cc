@@ -392,10 +392,9 @@ TEST(AccessChargeTest, EventsCarryTheSessionId) {
   std::remove(path.c_str());
 }
 
-// Parallel-scan partitions run on their own threads under the caller's
-// whole context: each record is read once, by the partition that owns
-// it, and every event carries the session of the op that scanned.
-TEST(AccessChargeTest, ParallelScanEventsCarryTheSessionId) {
+// A batched scan reads each record once, over several batch reads, and
+// every event carries the session of the op that scanned.
+TEST(AccessChargeTest, ScanEventsCarryTheSessionId) {
   AccessLog& log = AccessLog::Global();
   log.ResetForTest();
   auto db = ObsDb();
@@ -411,17 +410,17 @@ TEST(AccessChargeTest, ParallelScanEventsCarryTheSessionId) {
   odb::exec::ScanSpec spec;
   spec.class_name = "person";
   spec.predicate = &predicate;
-  spec.parallelism = 4;
+  spec.batch_size = 64;
   SessionEntry entry(/*session_id=*/4242, /*trace_id=*/0, /*opened_ns=*/0);
-  std::string path = testing::TempDir() + "/ode_access_parallel_scan.trace";
+  std::string path = testing::TempDir() + "/ode_access_scan.trace";
   ASSERT_TRUE(log.StartCapture(path).ok());
   {
-    ProfiledOp op(&entry, "parallel_scan");
+    ProfiledOp op(&entry, "scan");
     Result<odb::exec::ScanResult> scanned =
         odb::exec::ExecuteScan(db.get(), spec);
     ASSERT_TRUE(scanned.ok());
     EXPECT_EQ(scanned->rows.size(), kPeople);
-    EXPECT_GT(scanned->stats.partitions, 1);
+    EXPECT_GT(scanned->stats.batches, 1u);
   }
   ASSERT_TRUE(log.StopCapture().ok());
 

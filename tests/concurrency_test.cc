@@ -237,13 +237,18 @@ TEST(HeapConcurrencyTest, ConcurrentScansDuringInserts) {
   for (std::thread& r : readers) r.join();
 
   EXPECT_EQ(heap.count(), kRecords);
-  // Full sequencing pass over the final heap.
-  Result<uint64_t> id = heap.FirstId();
+  // Full batch-read pass over the final heap.
+  std::string arena;
+  std::vector<HeapFile::RecordSpan> spans;
+  uint64_t after = 0;
   uint64_t seen = 0;
-  while (id.ok()) {
-    ++seen;
-    EXPECT_EQ(*heap.Get(*id), PayloadFor(*id));
-    id = heap.NextId(*id);
+  while (heap.RecordsInto(after, /*forward=*/true, 16, &arena, &spans).ok()) {
+    for (const HeapFile::RecordSpan& span : spans) {
+      ++seen;
+      EXPECT_EQ(arena.substr(span.offset, span.length),
+                PayloadFor(span.local_id));
+      after = span.local_id;
+    }
   }
   EXPECT_EQ(seen, kRecords);
 }
@@ -385,16 +390,25 @@ TEST(PrefetchTest, HeapSequencingSchedulesReadAhead) {
   FreeList free_list(&pool, kNoPage);
   HeapFile heap = std::move(*HeapFile::Create(&pool, &free_list));
 
-  // Enough records that the heap far outgrows the pool, so NextId's
-  // read-ahead targets are genuinely cold.
+  // Enough records that the heap far outgrows the pool, so the batch
+  // read's read-ahead targets are genuinely cold.
   constexpr uint64_t kRecords = 2000;
   for (uint64_t id = 1; id <= kRecords; ++id) {
     ASSERT_TRUE(heap.Insert(id, PayloadFor(id)).ok());
   }
   ASSERT_GT(*heap.PageCount(), 8u);
 
-  Result<uint64_t> id = heap.FirstId();
-  while (id.ok()) id = heap.NextId(*id);
+  // Walk the heap the way the object-set cursor does: 16-record batch
+  // reads, each warming the page after it.
+  std::string arena;
+  std::vector<HeapFile::RecordSpan> spans;
+  uint64_t after = 0;
+  uint64_t seen = 0;
+  while (heap.RecordsInto(after, /*forward=*/true, 16, &arena, &spans).ok()) {
+    seen += spans.size();
+    after = spans.back().local_id;
+  }
+  EXPECT_EQ(seen, kRecords);
   pool.WaitForPrefetches();
   EXPECT_GT(pool.stats().prefetches, 0u)
       << "sequencing a multi-page heap should schedule read-ahead";
@@ -712,14 +726,15 @@ void MutateItemsUntil(Database* db, uint64_t seed,
   }
 }
 
-// Parallel partitioned scans race against writers creating, updating,
-// and deleting objects in the scanned cluster. Outcomes depend on the
-// interleaving, so the assertions check invariants instead of counts:
-// every result is sorted by id with no duplicates, every matched row
-// actually satisfies the predicate (updates write non-matching values,
-// so a torn read would surface here), and the partition workers honor
-// the documented lock order. CI runs this binary under TSan.
-TEST(ExecConcurrencyTest, ParallelScansDuringMutationsStayConsistent) {
+// Batched scans on four threads race against writers creating,
+// updating, and deleting objects in the scanned cluster. Outcomes
+// depend on the interleaving, so the assertions check invariants
+// instead of counts: every result is sorted by id with no duplicates,
+// every matched row actually satisfies the predicate (updates write
+// non-matching values, so a torn read would surface here), and the
+// scanners honor the documented lock order. CI runs this binary under
+// TSan.
+TEST(ExecConcurrencyTest, ScansDuringMutationsStayConsistent) {
   LockRankValidator::SetMode(LockRankValidator::Mode::kCount);
   const uint64_t before = LockRankValidator::violations();
 
@@ -747,7 +762,6 @@ TEST(ExecConcurrencyTest, ParallelScansDuringMutationsStayConsistent) {
         spec.predicate = &predicate;
         spec.project_all = true;
         spec.batch_size = 16;
-        spec.parallelism = 4;
         auto result = exec::ExecuteScan(db, spec);
         ASSERT_TRUE(result.ok()) << result.status().ToString();
         Oid previous = Oid::Null();
@@ -769,7 +783,7 @@ TEST(ExecConcurrencyTest, ParallelScansDuringMutationsStayConsistent) {
   for (std::thread& w : writers) w.join();
 
   EXPECT_EQ(LockRankValidator::violations(), before)
-      << "parallel partitioned scans broke the documented lock order";
+      << "concurrent scans broke the documented lock order";
 }
 
 // Object-set cursors step through the cluster while writers mutate it.
@@ -961,7 +975,7 @@ public:
 // --- Profiled queries under concurrency --------------------------------
 
 // The acceptance battery for the profiling layer: 8 sessions run
-// profiled queries (plain ops, parallel scans, EXPLAIN ANALYZE) with
+// profiled queries (plain ops, executor scans, EXPLAIN ANALYZE) with
 // the slow-op threshold at 1 ns so *every* op takes the SlowOpLog
 // mutex, while a scraper thread concurrently renders /sessions and
 // /slow the way the telemetry endpoint does. TSan checks the memory
@@ -1008,8 +1022,9 @@ TEST(ProfiledQueryBatteryTest, EightProfiledSessionsUnderConcurrentScrapes) {
             break;
           }
           case 1: {
-            auto first = session.FirstObject("employee");
-            if (first.ok()) (void)session.GetObject(*first);
+            auto ids = session.ScanCluster("employee");
+            ASSERT_TRUE(ids.ok()) << ids.status().ToString();
+            if (!ids->empty()) (void)session.GetObject(ids->front());
             break;
           }
           case 2: {
@@ -1023,8 +1038,7 @@ TEST(ProfiledQueryBatteryTest, EightProfiledSessionsUnderConcurrentScrapes) {
             exec::ScanSpec spec;
             spec.class_name = "employee";
             spec.predicate = &predicate;
-            spec.parallelism = 4;
-            obs::ProfiledOp op(session.entry(), "parallel_scan");
+            obs::ProfiledOp op(session.entry(), "scan");
             auto result = exec::ExecuteScan(db, spec);
             ASSERT_TRUE(result.ok()) << result.status().ToString();
             break;

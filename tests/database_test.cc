@@ -383,11 +383,18 @@ TEST(DatabaseTest, SequencingWalksCreationOrder) {
     oids.push_back(
         *db->CreateObject("person", Person("p" + std::to_string(i), 20 + i)));
   }
-  EXPECT_EQ(*db->FirstObject("person"), oids.front());
-  EXPECT_EQ(*db->LastObject("person"), oids.back());
-  EXPECT_EQ(*db->NextObject(oids[1]), oids[2]);
-  EXPECT_EQ(*db->PrevObject(oids[1]), oids[0]);
-  EXPECT_TRUE(db->NextObject(oids.back()).status().IsOutOfRange());
+  ObjectCursor cursor(db.get(), "person");
+  // From reset, `next` shows the first object and `previous` the last.
+  EXPECT_EQ(cursor.Next()->oid, oids.front());
+  EXPECT_EQ(cursor.Next()->oid, oids[1]);
+  EXPECT_EQ(cursor.Next()->oid, oids[2]);
+  EXPECT_EQ(cursor.Prev()->oid, oids[1]);
+  EXPECT_EQ(cursor.Prev()->oid, oids[0]);
+  cursor.Reset();
+  EXPECT_EQ(cursor.Prev()->oid, oids.back());
+  // Past the last object: OutOfRange, and the cursor stays there.
+  EXPECT_TRUE(cursor.Next().status().IsOutOfRange());
+  EXPECT_EQ(*cursor.Current(), oids.back());
   EXPECT_EQ(db->ScanCluster("person")->size(), 5u);
 }
 
@@ -592,7 +599,7 @@ TEST(LabDbTest, ReproducesPaperCardinalities) {
 TEST(LabDbTest, FirstEmployeeIsRakeshInResearch) {
   auto db = std::move(*Database::CreateInMemory("lab"));
   ASSERT_TRUE(BuildLabDatabase(db.get()).ok());
-  ObjectBuffer rakesh = *db->GetObject(*db->FirstObject("employee"));
+  ObjectBuffer rakesh = *db->GetObject(db->ScanCluster("employee")->front());
   EXPECT_EQ(rakesh.value.FindField("name")->AsString(), "rakesh");
   Oid dept = rakesh.value.FindField("dept")->AsRef();
   EXPECT_EQ(db->GetObject(dept)->value.FindField("name")->AsString(),

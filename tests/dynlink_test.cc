@@ -157,11 +157,15 @@ class SynthesizedTest : public ::testing::Test {
     config.documents = 1;
     return config;
   }
+  /// The lab's first employee, the object most tests display.
+  odb::ObjectBuffer FirstEmployee() {
+    return *db_->GetObject(db_->ScanCluster("employee")->front());
+  }
   std::unique_ptr<odb::Database> db_;
 };
 
 TEST_F(SynthesizedTest, DisplayShowsPublicMembersOnly) {
-  odb::ObjectBuffer emp = *db_->GetObject(*db_->FirstObject("employee"));
+  odb::ObjectBuffer emp = FirstEmployee();
   DisplayFunction fn =
       SynthesizeDisplayFunction(db_->schema(), "employee");
   Result<DisplayResources> resources = fn(emp, {}, {});
@@ -175,7 +179,7 @@ TEST_F(SynthesizedTest, DisplayShowsPublicMembersOnly) {
 }
 
 TEST_F(SynthesizedTest, PrivilegedModeViolatesEncapsulation) {
-  odb::ObjectBuffer emp = *db_->GetObject(*db_->FirstObject("employee"));
+  odb::ObjectBuffer emp = FirstEmployee();
   DisplayFunction fn = SynthesizeDisplayFunction(db_->schema(), "employee",
                                                  /*privileged=*/true);
   Result<DisplayResources> resources = fn(emp, {}, {});
@@ -184,7 +188,7 @@ TEST_F(SynthesizedTest, PrivilegedModeViolatesEncapsulation) {
 }
 
 TEST_F(SynthesizedTest, ProjectionMaskFiltersAttributes) {
-  odb::ObjectBuffer emp = *db_->GetObject(*db_->FirstObject("employee"));
+  odb::ObjectBuffer emp = FirstEmployee();
   std::vector<std::string> attrs = {"name", "age", "title", "salary"};
   std::vector<bool> mask = {true, false, false, false};
   DisplayFunction fn =
@@ -198,7 +202,7 @@ TEST_F(SynthesizedTest, ProjectionMaskFiltersAttributes) {
 }
 
 TEST_F(SynthesizedTest, WrongClassIsDisplayFault) {
-  odb::ObjectBuffer emp = *db_->GetObject(*db_->FirstObject("employee"));
+  odb::ObjectBuffer emp = FirstEmployee();
   DisplayFunction fn =
       SynthesizeDisplayFunction(db_->schema(), "department");
   EXPECT_TRUE(fn(emp, {}, {}).status().IsDisplayFault());
@@ -268,7 +272,7 @@ TEST_F(SynthesizedTest, EmployeeTextDisplayHasTitleWithName) {
   ASSERT_TRUE(RegisterLabDisplayModules(&repo, "lab", db_->schema()).ok());
   DynamicLinker linker(&repo);
   const DisplayFunction* fn = *linker.Load("lab", "employee", "text");
-  odb::ObjectBuffer emp = *db_->GetObject(*db_->FirstObject("employee"));
+  odb::ObjectBuffer emp = FirstEmployee();
   Result<DisplayResources> resources = (*fn)(emp, {}, {});
   ASSERT_TRUE(resources.ok());
   EXPECT_EQ(resources->windows[0].title, "employee: rakesh");
@@ -280,7 +284,7 @@ TEST_F(SynthesizedTest, EmployeePictureDisplayIsValidPbm) {
   ASSERT_TRUE(RegisterLabDisplayModules(&repo, "lab", db_->schema()).ok());
   DynamicLinker linker(&repo);
   const DisplayFunction* fn = *linker.Load("lab", "employee", "picture");
-  odb::ObjectBuffer emp = *db_->GetObject(*db_->FirstObject("employee"));
+  odb::ObjectBuffer emp = FirstEmployee();
   Result<DisplayResources> resources = (*fn)(emp, {}, {});
   ASSERT_TRUE(resources.ok());
   EXPECT_EQ(resources->windows[0].kind, WindowKind::kRasterImage);
@@ -292,7 +296,7 @@ TEST_F(SynthesizedTest, FaultyModuleReturnsDisplayFault) {
   ASSERT_TRUE(RegisterFaultyDisplayModule(&repo, "lab", "employee").ok());
   DynamicLinker linker(&repo);
   const DisplayFunction* fn = *linker.Load("lab", "employee", "crash");
-  odb::ObjectBuffer emp = *db_->GetObject(*db_->FirstObject("employee"));
+  odb::ObjectBuffer emp = FirstEmployee();
   EXPECT_TRUE((*fn)(emp, {}, {}).status().IsDisplayFault());
 }
 

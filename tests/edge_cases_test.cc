@@ -108,8 +108,10 @@ TEST(DatabaseEdgeTest, ClusterNameMapping) {
 TEST(DatabaseEdgeTest, EmptyClusterSequencing) {
   auto db = std::move(*Database::CreateInMemory("t"));
   ASSERT_TRUE(db->DefineSchema("class a { public: int x; };").ok());
-  EXPECT_TRUE(db->FirstObject("a").status().IsNotFound());
-  EXPECT_TRUE(db->LastObject("a").status().IsNotFound());
+  ObjectCursor cursor(db.get(), "a");
+  EXPECT_TRUE(cursor.Next().status().IsOutOfRange());
+  EXPECT_TRUE(cursor.Prev().status().IsOutOfRange());
+  EXPECT_FALSE(cursor.has_current());
   EXPECT_TRUE(db->ScanCluster("a")->empty());
   EXPECT_TRUE(db->Select("a", Predicate::True())->empty());
 }

@@ -1,6 +1,6 @@
 // Equivalence suite for the batched executor (src/odb/exec/): for a
-// battery of predicates, projections, batch sizes, and parallelism
-// levels, the vectorized scan/join must produce exactly what the
+// battery of predicates, projections, and batch sizes, the
+// vectorized scan/join must produce exactly what the
 // legacy per-object tree-walking path produces — same rows, same
 // order, errors where it errors. Plus unit tests for the projection
 // primitives (SkipValue, DecodeObjectRecordProjected).
@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -114,20 +115,16 @@ TEST_F(ExecSuite, ScanMatchesTreeWalkAcrossPredicates) {
         ReferenceSelect("employee", *predicate);
     ASSERT_TRUE(expected.ok()) << text;
     for (size_t batch_size : {size_t{1}, size_t{3}, size_t{1024}}) {
-      for (int parallelism : {1, 4}) {
-        exec::ScanSpec spec;
-        spec.class_name = "employee";
-        spec.predicate = &*predicate;
-        spec.project_all = true;
-        spec.batch_size = batch_size;
-        spec.parallelism = parallelism;
-        Result<exec::ScanResult> result = exec::ExecuteScan(db_.get(), spec);
-        ASSERT_TRUE(result.ok())
-            << text << " batch=" << batch_size << " par=" << parallelism
-            << ": " << result.status().ToString();
-        EXPECT_EQ(RowOids(*result), *expected)
-            << text << " batch=" << batch_size << " par=" << parallelism;
-      }
+      exec::ScanSpec spec;
+      spec.class_name = "employee";
+      spec.predicate = &*predicate;
+      spec.project_all = true;
+      spec.batch_size = batch_size;
+      Result<exec::ScanResult> result = exec::ExecuteScan(db_.get(), spec);
+      ASSERT_TRUE(result.ok()) << text << " batch=" << batch_size << ": "
+                               << result.status().ToString();
+      EXPECT_EQ(RowOids(*result), *expected)
+          << text << " batch=" << batch_size;
     }
   }
 }
@@ -227,38 +224,6 @@ TEST_F(ExecSuite, ScanStatsCountEveryRow) {
   EXPECT_EQ(result.stats.rows_scanned, all.size());
   EXPECT_EQ(result.stats.rows_matched, result.rows.size());
   EXPECT_GE(result.stats.batches, all.size() / 10);
-  EXPECT_EQ(result.stats.partitions, 1);
-}
-
-TEST_F(ExecSuite, ParallelScanIsDeterministic) {
-  Predicate predicate = *ParsePredicate("age > 30 || name contains \"a\"");
-  exec::ScanSpec spec;
-  spec.class_name = "employee";
-  spec.predicate = &predicate;
-  spec.project_all = true;
-  spec.batch_size = 7;  // force several batches per partition
-  exec::ScanResult sequential = *exec::ExecuteScan(db_.get(), spec);
-  spec.parallelism = 4;
-  exec::ScanResult parallel = *exec::ExecuteScan(db_.get(), spec);
-  EXPECT_EQ(parallel.stats.partitions, 4);
-  ASSERT_EQ(parallel.rows.size(), sequential.rows.size());
-  for (size_t i = 0; i < parallel.rows.size(); ++i) {
-    EXPECT_EQ(parallel.rows[i].oid, sequential.rows[i].oid);
-    EXPECT_EQ(parallel.rows[i].version, sequential.rows[i].version);
-    EXPECT_EQ(parallel.rows[i].value, sequential.rows[i].value);
-  }
-}
-
-TEST_F(ExecSuite, ParallelismBeyondClusterSizeIsHarmless) {
-  exec::ScanSpec spec;
-  spec.class_name = "manager";  // 7 objects
-  Predicate predicate = *ParsePredicate("age >= 18");
-  spec.predicate = &predicate;
-  spec.project_all = true;
-  spec.parallelism = 16;
-  Result<exec::ScanResult> result = exec::ExecuteScan(db_.get(), spec);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(RowOids(*result), *db_->ScanCluster("manager"));
 }
 
 TEST_F(ExecSuite, UnknownClassIsAnError) {
@@ -333,10 +298,16 @@ TEST_F(ExecSuite, CursorLookaheadFollowsMutations) {
   ASSERT_TRUE(cursor.Next().ok());
   for (int step = 0; step < 60; ++step) {
     Oid at = *cursor.Current();
-    Result<Oid> ahead = db_->NextObject(at);
+    // The record just ahead of the cursor, matching or not.
+    RawRecordBatch next;
+    ASSERT_TRUE(db_->ScanRawRecords("employee", at.local, 1, &next).ok());
+    std::optional<Oid> ahead;
+    if (!next.records.empty()) {
+      ahead = Oid{next.cluster, next.records[0].local_id};
+    }
     switch (step % 3) {
       case 0:
-        if (ahead.ok()) {
+        if (ahead.has_value()) {
           ObjectBuffer buffer = *db_->GetObject(*ahead);
           Value* age = buffer.value.FindMutableField("age");
           *age = Value::Int(age->AsInt() > 40 ? 30 : 50);
@@ -344,7 +315,7 @@ TEST_F(ExecSuite, CursorLookaheadFollowsMutations) {
         }
         break;
       case 1:
-        if (ahead.ok()) {
+        if (ahead.has_value()) {
           ASSERT_TRUE(db_->DeleteObject(*ahead).ok());
         }
         break;

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/op_profile.h"
 #include "dynlink/lab_modules.h"
+#include "odb/ddl_parser.h"
 #include "odb/integrity.h"
 #include "odb/labdb.h"
 #include "odeview/app.h"
@@ -39,6 +41,27 @@ class ExtensionsSession : public ::testing::Test {
     std::string out;
     for (const std::string& line : text->lines()) out += line + "\n";
     return out;
+  }
+
+  /// Defines `vault`, a class with a private member and no display
+  /// modules (so it gets the synthesized display), and stores one
+  /// vault labelled "v1".
+  void CreateVault() {
+    ASSERT_TRUE(db_->DefineSchema(R"(
+class vault {
+public:
+  string label;
+private:
+  string combination;
+};
+)")
+                    .ok());
+    ASSERT_TRUE(db_->CreateObject(
+                       "vault",
+                       odb::Value::Struct(
+                           {{"label", odb::Value::String("v1")},
+                            {"combination", odb::Value::String("1234")}}))
+                    .ok());
   }
 
   std::unique_ptr<odb::Database> db_;
@@ -134,6 +157,25 @@ TEST_F(ExtensionsSession, EmptyJoinIsUsable) {
   EXPECT_FALSE((*join)->has_current());
 }
 
+// A §5.3 view's join and its fetches are ops of the interactor's
+// session, so they reach the `/sessions` totals and the slow-op ring.
+TEST_F(ExtensionsSession, JoinViewRunsAsSessionOps) {
+  obs::SessionEntry* entry = interactor_->session()->entry();
+  const uint64_t ops = entry->ops_completed();
+  const uint64_t pairs = entry->totals().Snapshot().join_pairs;
+  Result<JoinView*> join = interactor_->OpenJoinView(
+      "employee", "department", "left.title == \"MTS\"");
+  ASSERT_TRUE(join.ok()) << join.status().ToString();
+  ASSERT_GT((*join)->pair_count(), 2u);
+  EXPECT_EQ(entry->ops_completed(), ops + 1);
+  EXPECT_EQ(entry->totals().Snapshot().join_pairs - pairs,
+            (*join)->pair_count());
+  for (uint64_t step = 1; step <= 2; ++step) {
+    ASSERT_TRUE((*join)->Next().ok());
+    EXPECT_EQ(entry->ops_completed(), ops + 1 + 2 * step);  // both sides
+  }
+}
+
 TEST_F(ExtensionsSession, JoinPanelButtonsWork) {
   Result<JoinView*> join = interactor_->OpenJoinView(
       "employee", "department", "left.title == \"MTS\"");
@@ -149,22 +191,7 @@ TEST_F(ExtensionsSession, JoinPanelButtonsWork) {
 // --- Privileged (debug) mode ---------------------------------------------------
 
 TEST_F(ExtensionsSession, PrivilegedModeShowsPrivateMembers) {
-  // gadget has no registered display modules -> synthesized display.
-  ASSERT_TRUE(db_->DefineSchema(R"(
-class vault {
-public:
-  string label;
-private:
-  string combination;
-};
-)")
-                  .ok());
-  ASSERT_TRUE(db_->CreateObject(
-                     "vault",
-                     odb::Value::Struct(
-                         {{"label", odb::Value::String("v1")},
-                          {"combination", odb::Value::String("1234")}}))
-                  .ok());
+  ASSERT_NO_FATAL_FAILURE(CreateVault());
   BrowseNode* node = *interactor_->OpenObjectSet("vault");
   ASSERT_TRUE(node->Next().ok());
   ASSERT_TRUE(node->ToggleFormat("text").ok());
@@ -184,21 +211,7 @@ private:
 // A §5.3 join view draws each side with the same synthesized display
 // as a browse window, so debug mode shows private members there too.
 TEST_F(ExtensionsSession, JoinViewHonoursPrivilegedMode) {
-  ASSERT_TRUE(db_->DefineSchema(R"(
-class vault {
-public:
-  string label;
-private:
-  string combination;
-};
-)")
-                  .ok());
-  ASSERT_TRUE(db_->CreateObject(
-                     "vault",
-                     odb::Value::Struct(
-                         {{"label", odb::Value::String("v1")},
-                          {"combination", odb::Value::String("1234")}}))
-                  .ok());
+  ASSERT_NO_FATAL_FAILURE(CreateVault());
   Result<JoinView*> join = interactor_->OpenJoinView(
       "vault", "department", "left.label == \"v1\"");
   ASSERT_TRUE(join.ok()) << join.status().ToString();
@@ -212,6 +225,52 @@ private:
     EXPECT_EQ(text.find("combination") != std::string::npos, privileged)
         << "privileged=" << privileged << "\n" << text;
   }
+}
+
+// Switching debug mode re-renders an open join view's current pair at
+// once, as it does the browse trees: no further gesture is needed.
+TEST_F(ExtensionsSession, JoinViewFollowsPrivilegedModeWithoutAGesture) {
+  ASSERT_NO_FATAL_FAILURE(CreateVault());
+  Result<JoinView*> join = interactor_->OpenJoinView(
+      "vault", "department", "left.label == \"v1\"");
+  ASSERT_TRUE(join.ok()) << join.status().ToString();
+  ASSERT_TRUE((*join)->Next().ok());
+  auto shows_combination = [&] {
+    return ScrollTextContent((*join)->left_window()).find("combination") !=
+           std::string::npos;
+  };
+  EXPECT_FALSE(shows_combination());
+  interactor_->set_privileged(true);
+  EXPECT_TRUE(shows_combination());
+  interactor_->set_privileged(false);
+  EXPECT_FALSE(shows_combination());
+}
+
+// A class change re-renders an open join view's current pair, so a
+// member `AlterClass` added shows without a further gesture.
+TEST_F(ExtensionsSession, JoinViewFollowsClassChanges) {
+  ASSERT_NO_FATAL_FAILURE(CreateVault());
+  Result<JoinView*> join = interactor_->OpenJoinView(
+      "vault", "department", "left.label == \"v1\"");
+  ASSERT_TRUE(join.ok()) << join.status().ToString();
+  ASSERT_TRUE((*join)->Next().ok());
+  EXPECT_EQ(ScrollTextContent((*join)->left_window()).find("location"),
+            std::string::npos);
+  Result<odb::ClassDef> altered = odb::ParseClassDef(R"(
+class vault {
+public:
+  string label;
+  string location;
+private:
+  string combination;
+};
+)");
+  ASSERT_TRUE(altered.ok()) << altered.status().ToString();
+  ASSERT_TRUE(db_->AlterClass(*altered).ok());
+  ASSERT_TRUE(interactor_->OnClassChanged("vault").ok());
+  EXPECT_NE(ScrollTextContent((*join)->left_window()).find("location"),
+            std::string::npos)
+      << ScrollTextContent((*join)->left_window());
 }
 
 }  // namespace

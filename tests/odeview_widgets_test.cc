@@ -148,7 +148,7 @@ class WidgetSession : public ::testing::Test {
 
 TEST_F(WidgetSession, VersionsWindowListsHistory) {
   // document is a versioned class; give the first one some history.
-  odb::Oid doc = *db_->FirstObject("document");
+  odb::Oid doc = db_->ScanCluster("document")->front();
   for (int i = 0; i < 3; ++i) {
     odb::ObjectBuffer buffer = *db_->GetObject(doc);
     *buffer.value.FindMutableField("title") =

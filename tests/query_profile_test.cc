@@ -103,7 +103,6 @@ TEST(OpProfileTest, ChargesSnapshotAndMerge) {
   profile.rows_skipped_decode = 6;
   profile.predicate_evals = 10;
   profile.batches = 2;
-  profile.partitions = 1;
   profile.join_build_rows = 3;
   profile.join_probe_rows = 5;
   profile.join_pairs = 2;
@@ -146,7 +145,6 @@ TEST(OpProfileTest, JsonNamesEveryCounterInOrder) {
   profile.rows_skipped_decode = 111;
   profile.predicate_evals = 112;
   profile.batches = 113;
-  profile.partitions = 114;
   profile.join_build_rows = 115;
   profile.join_probe_rows = 116;
   profile.join_pairs = 117;
@@ -159,7 +157,7 @@ TEST(OpProfileTest, JsonNamesEveryCounterInOrder) {
             "\"heap_records\":106,\"arena_bytes\":107,"
             "\"cluster_prefetches\":108,\"rows_scanned\":109,"
             "\"rows_matched\":110,\"rows_skipped_decode\":111,"
-            "\"predicate_evals\":112,\"batches\":113,\"partitions\":114,"
+            "\"predicate_evals\":112,\"batches\":113,"
             "\"join_build_rows\":115,\"join_probe_rows\":116,"
             "\"join_pairs\":117,\"lock_wait_ns\":118,"
             "\"wal_commit_wait_ns\":119,\"wal_bytes_logged\":120");
@@ -267,59 +265,6 @@ TEST_F(QueryProfileSuite, NoProfileAttachedStaysCheapAndSafe) {
   Predicate predicate = *ParsePredicate("age > 40");
   auto result = db_->Select("employee", predicate);
   ASSERT_TRUE(result.ok());  // every charge site tolerates nullptr
-}
-
-TEST_F(QueryProfileSuite, ParallelScanPartitionsAddIntoCallersProfile) {
-  Predicate predicate = *ParsePredicate("age >= 18");
-  exec::ScanSpec spec;
-  spec.class_name = "employee";
-  spec.predicate = &predicate;
-  spec.parallelism = 4;
-  obs::OpProfile profile;
-  exec::ScanResult serial;
-  {
-    obs::OpContextScope scope(obs::OpContext{.profile = &profile});
-    auto result = exec::ExecuteScan(db_.get(), spec);
-    ASSERT_TRUE(result.ok());
-    serial = std::move(*result);
-  }
-  const obs::OpProfile& s = profile;
-  EXPECT_GT(s.partitions, 1u);
-  // Each partition charged its own profile and the caller added them
-  // in after the join: every record the partitions pulled through the
-  // heap layer landed here, each once.
-  EXPECT_EQ(s.heap_records, serial.stats.rows_scanned);
-  EXPECT_EQ(s.rows_scanned, serial.stats.rows_scanned);
-}
-
-// A 4-way partitioned scan charges the caller what the serial scan
-// charges: no partition's work is lost or counted twice.
-TEST_F(QueryProfileSuite, PartitionedScanChargesWhatTheSerialScanCharges) {
-  Predicate predicate = *ParsePredicate("age >= 30");
-  auto charged = [&](int parallelism) {
-    exec::ScanSpec spec;
-    spec.class_name = "employee";
-    spec.predicate = &predicate;
-    spec.batch_size = 16;
-    spec.parallelism = parallelism;
-    obs::OpProfile profile;
-    {
-      obs::OpContextScope scope(obs::OpContext{.profile = &profile});
-      EXPECT_TRUE(exec::ExecuteScan(db_.get(), spec).ok());
-    }
-    return profile;
-  };
-  obs::OpProfile serial = charged(1);
-  obs::OpProfile partitioned = charged(4);
-  EXPECT_EQ(serial.partitions, 1u);
-  EXPECT_EQ(partitioned.partitions, 4u);
-  EXPECT_GT(serial.rows_matched, 0u);
-  EXPECT_LT(serial.rows_matched, serial.rows_scanned);
-  EXPECT_EQ(partitioned.heap_records, serial.heap_records);
-  EXPECT_EQ(partitioned.arena_bytes, serial.arena_bytes);
-  EXPECT_EQ(partitioned.rows_scanned, serial.rows_scanned);
-  EXPECT_EQ(partitioned.rows_matched, serial.rows_matched);
-  EXPECT_EQ(partitioned.predicate_evals, serial.predicate_evals);
 }
 
 // --- EXPLAIN / EXPLAIN ANALYZE ---------------------------------------
@@ -471,63 +416,83 @@ TEST_F(QueryProfileSuite, ExplainAnalyzeJoinActualsSumToTotals) {
   EXPECT_EQ(explained->root.children[0].actual.join_probe_rows, 0u);
 }
 
+/// The global metric `name` summed over its instruments (0 if none).
+uint64_t GlobalCounter(std::string_view name) {
+  for (const obs::MetricSample& s : obs::Registry::Global().Snapshot()) {
+    if (s.name == name) return static_cast<uint64_t>(s.value);
+  }
+  return 0;
+}
+
+/// One cursor step as one session op, in a frame of its own, the way a
+/// `Session` method runs an op: when the step returns, the op and the
+/// profile on its stack are gone, while read-ahead the step scheduled
+/// may still be queued.
+[[gnu::noinline]] Result<ObjectBuffer> ProfiledStep(Session* session,
+                                                   ObjectCursor* cursor) {
+  obs::ProfiledOp op(session->entry(), "cursor_next");
+  return cursor->Next();
+}
+
 // The profile's charges must agree with the engine's global metrics.
 // Read-ahead runs on the never-joined prefetcher and is billed to no op
-// (the requesting op may be gone when it runs), so each prefetch is one
-// global pool lookup that the profile does not see.
+// (the step that scheduled it may be gone when it runs), so each
+// prefetch is one global pool lookup that the session totals do not
+// see.
 TEST_F(QueryProfileSuite, ProfileAgreesWithGlobalCounters) {
   std::unique_ptr<Database> db = SmallPoolDb();
   db_->buffer_pool()->WaitForPrefetches();
   db->buffer_pool()->WaitForPrefetches();
 
-  auto global = [](std::string_view name) {
-    for (const obs::MetricSample& s : obs::Registry::Global().Snapshot()) {
-      if (s.name == name) return static_cast<uint64_t>(s.value);
-    }
-    return uint64_t{0};
-  };
-
-  uint64_t lookups_before = global("pool.fetch.lookups");
-  uint64_t prefetches_before = global("pool.prefetches");
-  obs::OpProfile profile;
-  {
-    obs::OpContextScope scope(obs::OpContext{.profile = &profile});
-    Result<Oid> at = db->FirstObject("item");
-    for (; at.ok(); at = db->NextObject(*at)) {
-      ASSERT_TRUE(db->GetObject(*at).ok());
-    }
-    // Keep the profile attached until every read-ahead has run, so a
-    // prefetch that still charged it would show.
-    db->buffer_pool()->WaitForPrefetches();
-  }
-  uint64_t lookups = global("pool.fetch.lookups") - lookups_before;
-  uint64_t prefetches = global("pool.prefetches") - prefetches_before;
-  const obs::OpProfile& s = profile;
+  uint64_t lookups_before = GlobalCounter("pool.fetch.lookups");
+  uint64_t prefetches_before = GlobalCounter("pool.prefetches");
+  uint64_t records_before = GlobalCounter("heap.batch_records");
+  Session session = db->OpenSession();
+  ObjectCursor cursor(db.get(), "item");
+  size_t steps = 0;
+  while (ProfiledStep(&session, &cursor).ok()) ++steps;
+  EXPECT_EQ(steps, 600u);
+  // Every read-ahead has run before the counters are read, so one that
+  // still charged a step's profile would show in the session totals.
+  db->buffer_pool()->WaitForPrefetches();
+  uint64_t lookups = GlobalCounter("pool.fetch.lookups") - lookups_before;
+  uint64_t prefetches = GlobalCounter("pool.prefetches") - prefetches_before;
+  uint64_t records = GlobalCounter("heap.batch_records") - records_before;
+  obs::OpProfile s = session.entry()->totals().Snapshot();
   EXPECT_GT(s.pool_lookups, 0u);
   EXPECT_GT(prefetches, 0u);
   // Other tests don't run concurrently in this process, so the global
   // deltas are this walk's work.
   EXPECT_EQ(lookups, s.pool_lookups + prefetches);
+  EXPECT_EQ(records, s.heap_records);
 }
 
-// A `NextObject` walk reads only the heap directory, so every pool
-// lookup it causes is read-ahead, which the prefetcher runs after the
-// step's `ProfiledOp` (and the profile on its stack) may be gone. Under
-// ASan with detect_stack_use_after_return=1 a prefetch that still held
-// the op's profile reports a write into the finished op's frame.
+// Twenty cursor walks, each step its own session op. The read-ahead a
+// step schedules runs on the prefetcher after the step's `ProfiledOp`
+// (and the profile on its stack) may be gone, so it must be billed to
+// no op. Under ASan with detect_stack_use_after_return=1 a prefetch
+// that still held the op's profile reports a write into the finished
+// op's frame; without ASan its lookup lands in a later step's profile
+// and breaks the equality below.
 TEST(PrefetchBillingTest, NextObjectWalkBillsReadAheadToNoOp) {
   std::unique_ptr<Database> db = SmallPoolDb();
-  uint64_t prefetches_before = db->buffer_pool()->stats().prefetches;
+  db->buffer_pool()->WaitForPrefetches();
+  uint64_t lookups_before = GlobalCounter("pool.fetch.lookups");
+  uint64_t prefetches_before = GlobalCounter("pool.prefetches");
   Session session = db->OpenSession();
   for (int walk = 0; walk < 20; ++walk) {
-    Result<Oid> at = session.FirstObject("item");
+    ObjectCursor cursor(db.get(), "item");
+    Result<ObjectBuffer> at = ProfiledStep(&session, &cursor);
     ASSERT_TRUE(at.ok());
-    while (at.ok()) at = session.NextObject(*at);
+    while (at.ok()) at = ProfiledStep(&session, &cursor);
     EXPECT_TRUE(at.status().IsOutOfRange()) << at.status().ToString();
   }
   db->buffer_pool()->WaitForPrefetches();
-  EXPECT_GT(db->buffer_pool()->stats().prefetches, prefetches_before);
-  EXPECT_EQ(session.entry()->totals().Snapshot().pool_lookups, 0u);
+  uint64_t lookups = GlobalCounter("pool.fetch.lookups") - lookups_before;
+  uint64_t prefetches = GlobalCounter("pool.prefetches") - prefetches_before;
+  EXPECT_GT(prefetches, 0u);
+  EXPECT_EQ(lookups,
+            session.entry()->totals().Snapshot().pool_lookups + prefetches);
 }
 
 // --- Session accounting ----------------------------------------------
@@ -544,7 +509,7 @@ TEST_F(QueryProfileSuite, SessionRegistryTracksOpenSessions) {
 
     Predicate predicate = *ParsePredicate("age > 40");
     ASSERT_TRUE(session.Select("employee", predicate).ok());
-    ASSERT_TRUE(session.FirstObject("employee").ok());
+    ASSERT_TRUE(session.ScanCluster("employee").ok());
     EXPECT_EQ(session.entry()->ops_completed(), 2u);
     EXPECT_GT(session.entry()->busy_ns(), 0u);
     EXPECT_GT(session.entry()->totals().Snapshot().rows_scanned, 0u);

@@ -374,24 +374,57 @@ TEST_F(HeapFileTest, SpillsAcrossPages) {
   }
 }
 
+/// The ids of a batch read, in the order it returned them.
+std::vector<uint64_t> SpanIds(const std::vector<HeapFile::RecordSpan>& spans) {
+  std::vector<uint64_t> ids;
+  for (const HeapFile::RecordSpan& span : spans) ids.push_back(span.local_id);
+  return ids;
+}
+
 TEST_F(HeapFileTest, SequencingInIdOrder) {
   HeapFile heap = *HeapFile::Create(&pool_, &free_list_);
   for (uint64_t id : {5, 1, 9, 3}) {
     ASSERT_TRUE(heap.Insert(id, "v" + std::to_string(id)).ok());
   }
-  EXPECT_EQ(*heap.FirstId(), 1u);
+  std::string arena;
+  std::vector<HeapFile::RecordSpan> spans;
+  // From either edge, the whole heap in id order, payloads in step.
+  ASSERT_TRUE(heap.RecordsInto(0, /*forward=*/true, 10, &arena, &spans).ok());
+  EXPECT_EQ(SpanIds(spans), (std::vector<uint64_t>{1, 3, 5, 9}));
+  EXPECT_EQ(arena.substr(spans[1].offset, spans[1].length), "v3");
+  ASSERT_TRUE(
+      heap.RecordsInto(UINT64_MAX, /*forward=*/false, 10, &arena, &spans)
+          .ok());
+  EXPECT_EQ(SpanIds(spans), (std::vector<uint64_t>{9, 5, 3, 1}));
+  EXPECT_EQ(arena.substr(spans[0].offset, spans[0].length), "v9");
+  // One record at a time each way, strictly past `from`.
+  ASSERT_TRUE(heap.RecordsInto(1, /*forward=*/true, 1, &arena, &spans).ok());
+  EXPECT_EQ(SpanIds(spans), (std::vector<uint64_t>{3}));
+  ASSERT_TRUE(heap.RecordsInto(3, /*forward=*/true, 1, &arena, &spans).ok());
+  EXPECT_EQ(SpanIds(spans), (std::vector<uint64_t>{5}));
+  ASSERT_TRUE(heap.RecordsInto(5, /*forward=*/false, 1, &arena, &spans).ok());
+  EXPECT_EQ(SpanIds(spans), (std::vector<uint64_t>{3}));
+  ASSERT_TRUE(heap.RecordsInto(4, /*forward=*/false, 2, &arena, &spans).ok());
+  EXPECT_EQ(SpanIds(spans), (std::vector<uint64_t>{3, 1}));
+  // Past either end.
+  EXPECT_TRUE(
+      heap.RecordsInto(9, /*forward=*/true, 10, &arena, &spans).IsOutOfRange());
+  EXPECT_TRUE(heap.RecordsInto(1, /*forward=*/false, 10, &arena, &spans)
+                  .IsOutOfRange());
+  EXPECT_TRUE(spans.empty());
   EXPECT_EQ(*heap.LastId(), 9u);
-  EXPECT_EQ(*heap.NextId(1), 3u);
-  EXPECT_EQ(*heap.NextId(3), 5u);
-  EXPECT_EQ(*heap.PrevId(5), 3u);
-  EXPECT_TRUE(heap.NextId(9).status().IsOutOfRange());
-  EXPECT_TRUE(heap.PrevId(1).status().IsOutOfRange());
   EXPECT_EQ(heap.AllIds(), (std::vector<uint64_t>{1, 3, 5, 9}));
 }
 
 TEST_F(HeapFileTest, EmptyHeapSequencing) {
   HeapFile heap = *HeapFile::Create(&pool_, &free_list_);
-  EXPECT_TRUE(heap.FirstId().status().IsNotFound());
+  std::string arena;
+  std::vector<HeapFile::RecordSpan> spans;
+  EXPECT_TRUE(
+      heap.RecordsInto(0, /*forward=*/true, 10, &arena, &spans).IsOutOfRange());
+  EXPECT_TRUE(
+      heap.RecordsInto(UINT64_MAX, /*forward=*/false, 10, &arena, &spans)
+          .IsOutOfRange());
   EXPECT_TRUE(heap.LastId().status().IsNotFound());
 }
 

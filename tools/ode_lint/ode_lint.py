@@ -10,6 +10,10 @@ rule id:
                            std::unique_lock / std::scoped_lock outside
                            common/threading.{h,cc}; everything else
                            uses the ranked ode:: wrappers.
+  engine-thread            no std::thread / std::jthread under src/
+                           outside src/common/; engine work on another
+                           thread goes through BackgroundWorker, which
+                           the OpContext hand-off rule covers.
   rank-doc-sync            the LockRank enum (lock_rank.h), the
                            metadata table (lock_rank.cc), and the prose
                            table in docs/LOCKING.md agree exactly on
@@ -71,6 +75,8 @@ LAYER_ORDER = {"common": 0, "odb": 1, "dag": 1, "owl": 1, "dynlink": 2,
 RAW_PRIMITIVES = re.compile(
     r"std::(mutex|shared_mutex|condition_variable\w*|lock_guard|"
     r"unique_lock|scoped_lock|recursive_mutex|timed_mutex)\b")
+
+RAW_THREAD = re.compile(r"\bstd::(j?thread)\b")
 
 # Files allowed to name the raw primitives: the wrappers themselves and
 # the annotation macros.
@@ -189,6 +195,24 @@ def check_raw_primitives(root, findings):
                     "raw-threading-primitive", relpath, lineno,
                     f"raw std::{m.group(1)}; use the ranked ode:: "
                     f"wrappers from common/threading.h"))
+
+
+# --- rule: engine-thread -----------------------------------------------
+
+
+def check_engine_threads(root, findings):
+    for path in iter_source_files(root):
+        relpath = rel(root, path)
+        if os.path.relpath(relpath, "src").split(os.sep)[0] == "common":
+            continue
+        text = strip_comments(read_text(path))
+        for lineno, line in enumerate(text.splitlines(), 1):
+            m = RAW_THREAD.search(line)
+            if m:
+                findings.append(Finding(
+                    "engine-thread", relpath, lineno,
+                    f"std::{m.group(1)} outside src/common/; run engine "
+                    f"work on a BackgroundWorker (common/threading.h)"))
 
 
 # --- rank parsing shared by several rules ------------------------------
@@ -554,6 +578,7 @@ def check_include_layering(root, findings):
 def run_all(root):
     findings = []
     check_raw_primitives(root, findings)
+    check_engine_threads(root, findings)
     enum, table = check_rank_doc_sync(root, findings)
     if enum:
         check_mutex_ranks_and_order(root, findings, enum, table)

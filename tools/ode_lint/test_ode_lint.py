@@ -104,6 +104,40 @@ class OdeLintTree(unittest.TestCase):
                     "comment_specimen" in f.file]
         self.assertEqual([], findings)
 
+    # --- engine-thread -------------------------------------------------
+
+    def test_thread_vector_in_engine_is_flagged(self):
+        # A thread-per-partition fork: engine work this rule sends to
+        # a BackgroundWorker instead.
+        self.write(
+            "#include <thread>\n"
+            "#include <vector>\n"
+            "void Scan() {\n"
+            "  std::vector<std::thread> threads;\n"
+            "  for (std::thread& t : threads) t.join();\n"
+            "}\n",
+            "src", "odb", "thread_specimen.cc")
+        findings = [f for f in ode_lint.run_all(self.tmp)
+                    if f.rule == "engine-thread"]
+        self.assertEqual(
+            [("src/odb/thread_specimen.cc", 4),
+             ("src/odb/thread_specimen.cc", 5)],
+            [(f.file, f.line) for f in findings])
+
+    def test_commented_thread_mention_is_not_flagged(self):
+        self.write("// No std::thread here: read-ahead runs on a\n"
+                   "/* BackgroundWorker, never a std::thread. */\n"
+                   "void Yield() { std::this_thread::yield(); }\n",
+                   "src", "odb", "thread_comment_specimen.h")
+        findings = [f for f in ode_lint.run_all(self.tmp)
+                    if f.rule == "engine-thread"]
+        self.assertEqual([], findings)
+
+    def test_current_tree_has_no_engine_threads(self):
+        findings = [f for f in ode_lint.run_all(self.tmp)
+                    if f.rule == "engine-thread"]
+        self.assertEqual([], findings)
+
     # --- rank-doc-sync -------------------------------------------------
 
     def test_seeded_doc_rank_rename_is_flagged(self):
